@@ -1,8 +1,9 @@
 //! Golden bit-identity suite for the estimation hot path and the
 //! engine's work-stealing scheduler.
 //!
-//! The PR-5 workspace/flat-PAV/batched-noise optimizations must not
-//! change a single released byte: for three fixed seeds × {Hc, Hg},
+//! The PR-5 workspace/flat-PAV/batched-noise optimizations, and the
+//! table-driven noise sampler after them, must not change a single
+//! released byte: for three fixed seeds × {Hc, wide Hc, Hg},
 //! the release CSV must hash to the value captured from
 //! `top_down_release` **before** the refactor (the seed-style
 //! per-node-allocation pipeline). A changed hash here means an
@@ -74,10 +75,21 @@ fn dataset() -> (Arc<Hierarchy>, Arc<HierarchicalCounts>) {
 /// allocations, per-element median heaps, per-draw `ln` noise setup).
 /// One entry per (seed, method); the release is thread-count
 /// invariant, so every thread count must reproduce the same hash.
+///
+/// The `hc_wide` rows (Hc at bound 5000, so every node draws a
+/// 5001-cell noise slice) cover the table-driven double-geometric
+/// path, which only engages on slices of at least 4096 cells. They
+/// were captured on the per-draw `ln`/divide sampler, before the
+/// lookup table existed, so they pin the table as bit-exact against
+/// it. (Seed 303 releases the same bytes at both bounds: its extra
+/// high cells are all absorbed by the anchored fit.)
 const GOLDEN: &[(u64, &str, u64)] = &[
     (101, "hc", 0x4ca65581ed11bfd7),
     (202, "hc", 0x2388c65e4b3addce),
     (303, "hc", 0x4b1a5ca14795755e),
+    (101, "hc_wide", 0x6cd6d7d387b87124),
+    (202, "hc_wide", 0x0b6ca6524703a405),
+    (303, "hc_wide", 0x4b1a5ca14795755e),
     (101, "hg", 0x4d8bf2b488a2e686),
     (202, "hg", 0x2e8d5082358b256b),
     (303, "hg", 0x150c11768652f808),
@@ -86,6 +98,7 @@ const GOLDEN: &[(u64, &str, u64)] = &[
 fn method_for(name: &str) -> LevelMethod {
     match name {
         "hc" => LevelMethod::Cumulative { bound: 128 },
+        "hc_wide" => LevelMethod::Cumulative { bound: 5000 },
         "hg" => LevelMethod::Unattributed,
         other => panic!("unknown method {other}"),
     }
@@ -149,9 +162,9 @@ fn release_csv_hashes_match_pre_refactor_goldens() {
 
 /// Single jobs through the work-stealing engine: every worker count
 /// in {1, 2, 4, 8} must release the exact pre-refactor bytes for all
-/// 3 seeds × {Hc, Hg}. New coverage for this PR: the 2- and 8-worker
-/// columns, and the engine path itself (subtree tasks interleaved
-/// across per-worker deques instead of a per-job thread pool).
+/// rows of the golden table. This covers the 2- and 8-worker columns
+/// and the engine path itself (subtree tasks interleaved across
+/// per-worker deques instead of a per-job thread pool).
 #[test]
 fn engine_single_jobs_match_goldens_at_every_worker_count() {
     let (h, d) = dataset();
@@ -188,7 +201,7 @@ fn engine_single_jobs_match_goldens_at_every_worker_count() {
 fn engine_8_job_batches_match_goldens_at_every_worker_count() {
     const BATCH_SEEDS: [u64; 8] = [101, 202, 303, 404, 505, 606, 707, 808];
     let (h, d) = dataset();
-    for method in ["hc", "hg"] {
+    for method in ["hc", "hc_wide", "hg"] {
         let cfg = TopDownConfig::new(1.0).with_method(method_for(method));
         let want: Vec<u64> = BATCH_SEEDS
             .iter()
@@ -243,7 +256,7 @@ fn engine_8_job_batches_match_goldens_at_every_worker_count() {
 #[ignore]
 fn print_golden_hashes() {
     let (h, d) = dataset();
-    for method in ["hc", "hg"] {
+    for method in ["hc", "hc_wide", "hg"] {
         for seed in [101u64, 202, 303] {
             let cfg = TopDownConfig::new(1.0).with_method(method_for(method));
             let mut rng = StdRng::seed_from_u64(seed);

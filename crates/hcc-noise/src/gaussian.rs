@@ -7,11 +7,16 @@
 //! future-work direction for hierarchical count-of-counts releases,
 //! since zCDP composes more gracefully over many levels.
 //!
-//! The sampler is the exact rejection scheme of Canonne, Kamath &
+//! The sampler follows the rejection scheme of Canonne, Kamath &
 //! Steinke ("The Discrete Gaussian for Differential Privacy", 2020):
 //! propose from a discrete Laplace of scale `t ≈ σ`, accept with
 //! probability `exp(−(|y| − σ²/t)² / (2σ²))`. Outputs are integers;
-//! no continuous Gaussian is ever materialised.
+//! no continuous Gaussian is ever materialised. It is *not* the
+//! paper's exact sampler, though: the proposal is the f64-inversion
+//! [`DoubleGeometric`] and the acceptance test compares an f64 `exp`
+//! against an f64 uniform, so both steps carry floating-point
+//! rounding where CKS use exact rational arithmetic. ROADMAP item 1(b)
+//! tracks the integer-only version.
 
 use rand::Rng;
 

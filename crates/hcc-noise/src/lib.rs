@@ -3,9 +3,14 @@
 //! * [`GeometricMechanism`] — the geometric mechanism of Ghosh,
 //!   Roughgarden & Sundararajan: adds integer *double-geometric*
 //!   noise with scale `Δ(q)/ε`. Preferred by the paper because the
-//!   output is integral, the variance is lower than Laplace, and it is
-//!   immune to the floating-point side channel of naive Laplace
-//!   implementations (Mironov 2012).
+//!   output is integral and the variance is lower than Laplace. The
+//!   integer output does not by itself close the floating-point side
+//!   channel of Mironov (2012): each one-sided geometric is drawn by
+//!   f64 inversion, `floor(ln U / ln α)`, whose rounding can make some
+//!   tail outputs possible for one input and impossible for its
+//!   neighbour. ROADMAP item 1(b) tracks the integer-only replacement.
+//!   Long slices use a lookup table that is bit-exact against the f64
+//!   inversion; it neither fixes nor worsens this.
 //! * [`LaplaceMechanism`] — continuous Laplace noise; used only by the
 //!   omniscient yardstick baseline and the public-`K` estimation
 //!   helper, never for released values.
