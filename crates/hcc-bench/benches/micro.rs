@@ -325,7 +325,9 @@ fn bench_engine_sweep(c: &mut Criterion) {
     use std::sync::Arc;
 
     use hcc_data::{Dataset, DatasetKind};
-    use hcc_engine::{protocol::SubmitParams, serve, Client, Engine, EngineConfig};
+    use hcc_engine::{
+        protocol::SubmitParams, serve_reactor, Client, Engine, EngineConfig, ReactorConfig,
+    };
 
     let mut g = c.benchmark_group("engine_sweep");
     g.sample_size(10);
@@ -348,7 +350,7 @@ fn bench_engine_sweep(c: &mut Criterion) {
             .with_workers(2)
             .with_cache_capacity(0),
     );
-    let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let server = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -412,7 +414,7 @@ fn bench_engine_derive(c: &mut Criterion) {
     use std::sync::Arc;
 
     use hcc_data::{Dataset, DatasetDelta, DatasetKind};
-    use hcc_engine::{serve, Client, Engine, EngineConfig};
+    use hcc_engine::{serve_reactor, Client, Engine, EngineConfig, ReactorConfig};
 
     let mut g = c.benchmark_group("engine_derive");
     g.sample_size(10);
@@ -427,7 +429,7 @@ fn bench_engine_derive(c: &mut Criterion) {
     let (post_hierarchy_csv, post_groups_csv, post_entities_csv) = post.to_csv_tables();
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let server = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)

@@ -1,15 +1,12 @@
-//! Emits the wire-path scoreboard — pipelined-sweep wall time on both
-//! protocols plus framed submit-latency quantiles under concurrency —
+//! Emits the wire-path scoreboard — pipelined-sweep wall time plus
+//! framed submit-latency quantiles under concurrency —
 //! in the `<label> <ns> ns/iter` format `scripts/bench.sh` parses
 //! into BENCH_N.json.
 //!
 //! Labels:
 //!
-//! * `wire_path/sweep<N>/blocking` — N-point ε sweep, legacy line
-//!   protocol against the blocking server;
-//! * `wire_path/sweep<N>/framed` — the same sweep pipelined over the
-//!   framed protocol against the reactor (the acceptance ratio is
-//!   `blocking / framed`);
+//! * `wire_path/sweep<N>/framed` — N-point ε sweep pipelined over the
+//!   framed protocol against the reactor;
 //! * `wire_path/submit_{p50,p95,p99}/c<C>` — per-submit latency
 //!   quantiles at `C` concurrent framed connections;
 //! * `wire_path/submit_per_op/c<C>` — burst wall time / submits (the
@@ -49,19 +46,10 @@ fn main() {
 
     let workload = WireWorkload::census(scale, bound);
 
-    let blocking = workload.sweep_blocking(sweep);
     let framed = workload.sweep_framed(sweep);
-    println!(
-        "wire_path/sweep{sweep}/blocking {} ns/iter",
-        blocking.as_nanos()
-    );
     println!(
         "wire_path/sweep{sweep}/framed {} ns/iter",
         framed.as_nanos()
-    );
-    eprintln!(
-        "# sweep{sweep} speedup: {:.2}x (blocking {blocking:?} / framed {framed:?})",
-        blocking.as_secs_f64() / framed.as_secs_f64().max(f64::EPSILON)
     );
 
     for &c in &conns {

@@ -1,17 +1,14 @@
-//! The wire-path harness: framed-reactor vs. blocking-line-protocol
-//! serving cost over real loopback TCP.
+//! The wire-path harness: framed-reactor serving cost over real
+//! loopback TCP.
 //!
 //! Two scoreboard shapes feed `scripts/bench.sh` (via the
 //! `engine_wire` binary):
 //!
 //! * **Pipelined sweep** — wall time of an N-point ε sweep on one
-//!   connection, legacy line protocol against the blocking server vs.
-//!   the framed protocol against the reactor. The legacy wire pays
-//!   two blocking round trips per point (`SUBMIT` ack, `WAIT` body);
-//!   the framed wire writes every request up front and streams the
-//!   responses back. An untimed first pass fills the result cache, so
-//!   the timed pass serves every point from cache on both wires and
-//!   the gap is pure protocol overhead, not estimator time.
+//!   framed connection: the client writes every request up front and
+//!   the reactor streams the responses back. An untimed first pass
+//!   fills the result cache, so the timed pass serves every point
+//!   from cache and measures protocol overhead, not estimator time.
 //! * **Submit latency under concurrency** — per-request wall-time
 //!   quantiles (p50/p95/p99) and sustained cost (total wall / ops,
 //!   the inverse of submits/sec) at 1, 64, and 1000 concurrent
@@ -27,13 +24,10 @@ use std::time::{Duration, Instant};
 
 use hcc_data::{Dataset, DatasetKind};
 use hcc_engine::protocol::SubmitParams;
-use hcc_engine::{
-    serve_blocking_with, serve_reactor, Client, Engine, EngineConfig, MuxClient, ReactorConfig,
-    ServeConfig,
-};
+use hcc_engine::{serve_reactor, Engine, EngineConfig, MuxClient, ReactorConfig};
 
-/// Timed sweep passes per wire (best-of; the first, untimed pass
-/// fills the result cache).
+/// Timed sweep passes (best-of; the first, untimed pass fills the
+/// result cache).
 const SWEEP_REPS: usize = 3;
 
 /// A reusable wire-path workload: one tiny census-style dataset plus
@@ -99,7 +93,7 @@ impl WireWorkload {
 
     fn engine(&self) -> Arc<Engine> {
         // The cache holds the whole sweep grid so the timed pass is
-        // wire-bound on both protocols.
+        // wire-bound.
         Arc::new(Engine::start(
             EngineConfig::default()
                 .with_workers(2)
@@ -112,47 +106,8 @@ impl WireWorkload {
         (1..=points).map(|i| 0.25 + i as f64 / 16.0).collect()
     }
 
-    /// Wall time of a `points`-long ε sweep over the legacy line
-    /// protocol against the blocking thread-per-connection server.
-    pub fn sweep_blocking(&self, points: usize) -> Duration {
-        let server = serve_blocking_with(self.engine(), "127.0.0.1:0", ServeConfig::default())
-            .expect("bind blocking server");
-        let mut client = Client::connect(server.addr()).expect("connect");
-        let handle = client
-            .prepare(&self.hierarchy_csv, &self.groups_csv, &self.entities_csv)
-            .expect("prepare io")
-            .expect("prepare accepted");
-        let grid = Self::grid(points);
-        // Untimed pass fills the cache; the timed passes are
-        // wire-bound and best-of-N removes scheduler noise.
-        client
-            .sweep(&self.base, handle, &grid, |_, outcome| {
-                outcome.expect("warm sweep point succeeds");
-            })
-            .expect("warm sweep io");
-        let best = (0..SWEEP_REPS)
-            .map(|_| {
-                let start = Instant::now();
-                let mut done = 0usize;
-                client
-                    .sweep(&self.base, handle, &grid, |_, outcome| {
-                        outcome.expect("sweep point succeeds");
-                        done += 1;
-                    })
-                    .expect("sweep io");
-                let elapsed = start.elapsed();
-                assert_eq!(done, points);
-                elapsed
-            })
-            .min()
-            .expect("at least one rep");
-        let _ = client.quit();
-        server.shutdown();
-        best
-    }
-
-    /// Wall time of the same sweep pipelined over the framed protocol
-    /// against the reactor.
+    /// Wall time of a `points`-long ε sweep pipelined over the framed
+    /// protocol against the reactor.
     pub fn sweep_framed(&self, points: usize) -> Duration {
         let server = serve_reactor(self.engine(), "127.0.0.1:0", ReactorConfig::default())
             .expect("bind reactor");
@@ -254,8 +209,23 @@ mod tests {
     #[test]
     fn sweeps_run_on_both_wires() {
         let w = WireWorkload::census(2e-6, 200);
-        assert!(w.sweep_blocking(3) > Duration::ZERO);
         assert!(w.sweep_framed(3) > Duration::ZERO);
+        // The legacy line protocol, served by the same reactor.
+        let server = serve_reactor(w.engine(), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+        let mut client = hcc_engine::Client::connect(server.addr()).unwrap();
+        let handle = client
+            .prepare(&w.hierarchy_csv, &w.groups_csv, &w.entities_csv)
+            .unwrap()
+            .unwrap();
+        let mut done = 0;
+        client
+            .sweep(&w.base, handle, &WireWorkload::grid(3), |_, outcome| {
+                outcome.unwrap();
+                done += 1;
+            })
+            .unwrap();
+        assert_eq!(done, 3);
+        server.shutdown();
     }
 
     #[test]

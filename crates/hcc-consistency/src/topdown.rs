@@ -108,7 +108,6 @@ pub struct TopDownConfig {
     epsilon: f64,
     methods: Vec<LevelMethod>,
     merge: MergeStrategy,
-    parallelism: usize,
 }
 
 impl TopDownConfig {
@@ -126,7 +125,6 @@ impl TopDownConfig {
                 bound: Self::DEFAULT_BOUND,
             }],
             merge: MergeStrategy::WeightedAverage,
-            parallelism: 1,
         }
     }
 
@@ -149,24 +147,6 @@ impl TopDownConfig {
     pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
         self.merge = merge;
         self
-    }
-
-    /// Estimates nodes on `threads` worker threads. The per-node
-    /// estimates are embarrassingly parallel (disjoint regions,
-    /// independent noise); each node draws from its own RNG seeded
-    /// deterministically from the caller's (see [`node_seeds`]), so
-    /// the release is a pure function of the master seed and
-    /// **bit-identical for every thread count**, including `1` (the
-    /// default, which runs inline without spawning).
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "parallelism must be at least 1");
-        self.parallelism = threads;
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Total privacy budget ε.
@@ -266,69 +246,6 @@ pub fn estimate_node(
     method.estimate_in(h, h.num_groups(), eps_level, &mut local, ws)
 }
 
-/// Estimates every node on `cfg.parallelism()` threads. Seeds one
-/// `StdRng` per node via [`node_seeds`] and strides nodes across
-/// workers; with one thread the loop runs inline, producing the same
-/// estimates without spawning. Each worker thread owns one
-/// [`EstimatorWorkspace`] reused across all its nodes.
-fn parallel_estimates(
-    hierarchy: &Hierarchy,
-    data: &HierarchicalCounts,
-    cfg: &TopDownConfig,
-    eps_level: f64,
-    rng: &mut (impl Rng + ?Sized),
-) -> Vec<NodeEstimate> {
-    let n = hierarchy.num_nodes();
-    let nodes: Vec<NodeId> = hierarchy.iter().collect();
-    let seeds = node_seeds(hierarchy, rng);
-    let threads = cfg.parallelism.min(n.max(1));
-    if threads <= 1 {
-        let mut ws = EstimatorWorkspace::new();
-        return nodes
-            .iter()
-            .zip(&seeds)
-            .map(|(&node, &seed)| {
-                estimate_node(hierarchy, data, cfg, eps_level, node, seed, &mut ws)
-            })
-            .collect();
-    }
-    let mut out: Vec<Option<NodeEstimate>> = vec![None; n];
-    let chunks: Vec<(usize, &mut [Option<NodeEstimate>])> = {
-        // Split the output into contiguous chunks, one per worker.
-        let base = n / threads;
-        let extra = n % threads;
-        let mut rest = out.as_mut_slice();
-        let mut start = 0;
-        let mut parts = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let len = base + usize::from(t < extra);
-            let (head, tail) = rest.split_at_mut(len);
-            parts.push((start, head));
-            start += len;
-            rest = tail;
-        }
-        parts
-    };
-    std::thread::scope(|scope| {
-        for (start, chunk) in chunks {
-            let seeds = &seeds;
-            let nodes = &nodes;
-            scope.spawn(move || {
-                let mut ws = EstimatorWorkspace::new();
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let idx = start + off;
-                    *slot = Some(estimate_node(
-                        hierarchy, data, cfg, eps_level, nodes[idx], seeds[idx], &mut ws,
-                    ));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|e| e.expect("every chunk slot filled"))
-        .collect()
-}
-
 /// Algorithm 1: releases ε-differentially-private count-of-counts
 /// histograms for every node of the hierarchy, satisfying all four
 /// desiderata (integral, non-negative, correct public `G` per node,
@@ -377,8 +294,15 @@ pub fn top_down_release<R: Rng + ?Sized>(
 
     // Lines 1–4: independent per-node estimates, one budget slice per
     // level. Within a level this is parallel composition (disjoint
-    // regions), so the estimates may also be *computed* in parallel.
-    let estimates = parallel_estimates(hierarchy, data, cfg, eps_level, rng);
+    // regions); the `hcc-engine` scheduler computes the same estimates
+    // in parallel and hands them to `top_down_from_estimates`.
+    let seeds = node_seeds(hierarchy, rng);
+    let mut ws = EstimatorWorkspace::new();
+    let estimates = hierarchy
+        .iter()
+        .zip(&seeds)
+        .map(|(node, &seed)| estimate_node(hierarchy, data, cfg, eps_level, node, seed, &mut ws))
+        .collect();
     top_down_from_estimates(hierarchy, cfg, estimates)
 }
 
@@ -640,36 +564,38 @@ mod parallel_tests {
         (h, data)
     }
 
-    #[test]
-    fn parallel_release_satisfies_desiderata() {
-        let (h, d) = data();
-        let cfg = TopDownConfig::new(1.0)
-            .with_method(LevelMethod::Cumulative { bound: 64 })
-            .with_parallelism(4);
-        let mut rng = StdRng::seed_from_u64(81);
-        let rel = top_down_release(&h, &d, &cfg, &mut rng).unwrap();
-        rel.assert_desiderata(&h);
-        for node in h.iter() {
-            assert_eq!(rel.groups(node), d.groups(node));
-        }
-    }
-
+    /// Estimating the nodes task by task, last task first (an order a
+    /// parallel executor may finish them in), with one workspace per
+    /// task, gives the serial release for every lane count: the
+    /// contract the `hcc-engine` scheduler relies on.
     #[test]
     fn parallel_output_is_thread_count_invariant() {
         let (h, d) = data();
-        let run = |threads: usize| {
-            let cfg = TopDownConfig::new(1.0)
-                .with_method(LevelMethod::Cumulative { bound: 64 })
-                .with_parallelism(threads);
-            let mut rng = StdRng::seed_from_u64(82);
-            top_down_release(&h, &d, &cfg, &mut rng).unwrap()
-        };
-        let one = run(1);
-        let two = run(2);
-        let eight = run(8);
+        let cfg = TopDownConfig::new(1.0).with_method(LevelMethod::Cumulative { bound: 64 });
+        let mut rng = StdRng::seed_from_u64(82);
+        let serial = top_down_release(&h, &d, &cfg, &mut rng).unwrap();
+        serial.assert_desiderata(&h);
         for node in h.iter() {
-            assert_eq!(one.node(node), two.node(node));
-            assert_eq!(two.node(node), eight.node(node));
+            assert_eq!(serial.groups(node), d.groups(node));
+        }
+        let eps_level = cfg.level_epsilon(h.num_levels());
+        let seeds = node_seeds(&h, &mut StdRng::seed_from_u64(82));
+        for lanes in [1, 2, 8] {
+            let mut slots: Vec<Option<NodeEstimate>> = vec![None; h.num_nodes()];
+            for task in subtree_tasks(&h, 2 * lanes).iter().rev() {
+                let mut ws = EstimatorWorkspace::new();
+                for &node in task {
+                    let seed = seeds[node.index()];
+                    slots[node.index()] =
+                        Some(estimate_node(&h, &d, &cfg, eps_level, node, seed, &mut ws));
+                }
+            }
+            let estimates = slots
+                .into_iter()
+                .map(|e| e.expect("tasks cover every node"))
+                .collect();
+            let rel = top_down_from_estimates(&h, &cfg, estimates).unwrap();
+            assert_eq!(rel, serial, "lanes={lanes}");
         }
     }
 
@@ -711,17 +637,5 @@ mod parallel_tests {
                 "min_tasks={min_tasks}: {seen:?}"
             );
         }
-    }
-
-    #[test]
-    fn parallelism_accessor_and_validation() {
-        let cfg = TopDownConfig::new(1.0).with_parallelism(3);
-        assert_eq!(cfg.parallelism(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_parallelism_rejected() {
-        let _ = TopDownConfig::new(1.0).with_parallelism(0);
     }
 }

@@ -122,7 +122,7 @@ fn parse_reply<T>(reply: &str, ok: impl FnOnce(&str) -> Result<T, String>) -> Re
 }
 
 impl Client {
-    /// Connects to a server started with [`crate::serve`] or
+    /// Connects to a server started with [`crate::serve_reactor`] or
     /// `hcc serve`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;

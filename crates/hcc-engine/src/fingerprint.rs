@@ -15,8 +15,8 @@
 //! exactly once; inline submissions compose the same two stages, so
 //! the two paths share cache entries for identical requests.
 //!
-//! Worker-thread counts and parallelism settings are deliberately
-//! *excluded*: they never change the released bytes.
+//! The engine's worker count is deliberately *excluded*: it never
+//! changes the released bytes.
 
 use hcc_consistency::{HierarchicalCounts, MergeStrategy, TopDownConfig};
 use hcc_hierarchy::Hierarchy;
@@ -208,13 +208,5 @@ mod tests {
             request_fingerprint(ds, h.num_levels(), &cfg, 7),
             request_fingerprint(ds, h.num_levels(), &cfg, 8)
         );
-    }
-
-    #[test]
-    fn parallelism_does_not_enter_the_fingerprint() {
-        let (h, d) = case(["a", "b"], [1, 2, 3]);
-        let one = TopDownConfig::new(1.0).with_parallelism(1);
-        let eight = TopDownConfig::new(1.0).with_parallelism(8);
-        assert_eq!(fingerprint(&h, &d, &one, 7), fingerprint(&h, &d, &eight, 7));
     }
 }

@@ -24,10 +24,6 @@
 //!   **identical for every worker count** — parallelism is purely an
 //!   execution concern, never a statistical one.
 //!   [`Engine::status`] polls, [`Engine::wait`] blocks.
-//! * **[`exec`]** — the same subtree decomposition as a standalone
-//!   one-shot call ([`parallel_release`]) on scoped `std::thread`
-//!   workers, for callers that want parallel releases without booting
-//!   an engine.
 //! * **[`cache`]** — an LRU result cache keyed by a 128-bit
 //!   fingerprint of (hierarchy, data, config, seed), with hit/miss
 //!   counters. A release is a pure function of its fingerprint, so
@@ -46,10 +42,10 @@
 //!   pass — with the derived handle chaining content fingerprints so
 //!   it is identical to a cold `PREPARE` of the post-delta tables
 //!   (see [`Engine::derive`]).
-//! * **[`serve`]/[`Client`]/[`MuxClient`]** — a `std::net` TCP
-//!   serving layer wired into the CLI as `hcc serve`, `hcc submit`,
-//!   `hcc prepare`, `hcc derive`, and `hcc sweep`. [`serve`] runs the
-//!   **epoll reactor** ([`serve_reactor`]): one event-loop thread
+//! * **[`serve_reactor`]/[`Client`]/[`MuxClient`]** — a `std::net`
+//!   TCP serving layer wired into the CLI as `hcc serve`, `hcc
+//!   submit`, `hcc prepare`, `hcc derive`, and `hcc sweep`. The
+//!   server is an **epoll reactor**: one event-loop thread
 //!   multiplexing every connection, speaking both the versioned
 //!   binary framed protocol ([`protocol::frame`] — length-prefixed
 //!   frames, client-chosen request ids, pipelining with out-of-order
@@ -60,8 +56,7 @@
 //!   quotas and a bounded park buffer; overload is shed with
 //!   structured `BUSY` backpressure frames rather than stalls.
 //!   [`Client`] speaks the legacy protocol; [`MuxClient`] the framed
-//!   one. [`serve_blocking`] keeps the thread-per-connection
-//!   line-protocol server as a comparison baseline.
+//!   one.
 //! * **[`telemetry`]** — always-on-cheap observability: per-worker
 //!   relaxed-atomic counters and log-bucketed latency histograms over
 //!   the full job lifecycle (queue wait, expansion, per-node
@@ -89,7 +84,6 @@
 pub mod cache;
 mod client;
 mod engine;
-pub mod exec;
 pub mod fingerprint;
 mod job;
 pub mod locks;
@@ -102,15 +96,12 @@ pub mod telemetry;
 
 pub use client::{Client, FetchedRelease, MuxClient, RetryPolicy, SweepPoint};
 pub use engine::{Engine, EngineConfig, EngineStats};
-pub use exec::{parallel_release, parallel_release_pooled};
 pub use fingerprint::{dataset_fingerprint, fingerprint, request_fingerprint, Fingerprint};
 pub use job::{EngineError, JobId, JobStatus, ReleaseRequest, ReleaseResult};
 pub use protocol::level_method;
 pub use reactor::{serve_reactor, ReactorConfig};
 pub use registry::{DatasetHandle, DatasetRegistry};
-pub use server::{
-    serve, serve_blocking, serve_blocking_with, serve_with, ServeConfig, ServerHandle,
-};
+pub use server::ServerHandle;
 pub use telemetry::{
     chrome_trace_json, HistogramSnapshot, MethodKind, SpanEvent, SpanKind, TelemetrySnapshot,
     WorkerSnapshot,

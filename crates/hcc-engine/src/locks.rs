@@ -189,13 +189,6 @@ impl<T> RankedMutex<T> {
         let guard = self.inner.lock().expect("engine lock poisoned");
         RankedGuard { guard, token }
     }
-
-    /// Consume the mutex, returning the protected value. No thread can
-    /// still hold the lock (we own the mutex), so no rank bookkeeping.
-    pub(crate) fn into_inner(self) -> T {
-        // hcc-lint: allow(panic-policy, reason = "same poison policy as RankedMutex::lock")
-        self.inner.into_inner().expect("engine lock poisoned")
-    }
 }
 
 impl<'a, T> RankedGuard<'a, T> {

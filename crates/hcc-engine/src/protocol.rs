@@ -5,7 +5,7 @@
 //! prefixed frames with request ids, pipelining, and out-of-order
 //! responses; see `docs/protocol.md`), and the legacy line protocol
 //! below (spoken by [`Client`](crate::Client)). The reactor server
-//! ([`crate::serve`]) auto-detects which one a connection speaks from
+//! ([`crate::serve_reactor`]) auto-detects which one a connection speaks from
 //! its first byte: framed traffic starts with the non-ASCII magic byte
 //! [`frame::MAGIC`], legacy commands with an uppercase ASCII letter.
 //!
@@ -323,7 +323,7 @@ pub fn one_line(msg: &str) -> String {
 
 pub mod frame {
     //! The binary framed protocol (version 1) spoken by the reactor
-    //! server ([`crate::serve`]) and the [`MuxClient`](crate::MuxClient).
+    //! server ([`crate::serve_reactor`]) and the [`MuxClient`](crate::MuxClient).
     //!
     //! Every frame is a 16-byte little-endian header followed by the
     //! payload:

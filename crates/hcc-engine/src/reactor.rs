@@ -1,11 +1,10 @@
 //! Event-driven wire path: a single-thread epoll reactor multiplexing
 //! every connection.
 //!
-//! The blocking server ([`crate::server::serve_blocking`]) spends one
-//! OS thread per connection, and a pipelined client still pays a full
-//! round trip per request. This module replaces that wire path with a
-//! hand-rolled reactor (std-only; crates.io is unavailable, in the
-//! spirit of the PR 2 work queue):
+//! A thread-per-connection server spends one OS thread per
+//! connection, and a pipelined client still pays a full round trip per
+//! request. This module is instead a hand-rolled reactor (std-only, no
+//! async runtime):
 //!
 //! - **One reactor thread.** A level-triggered epoll instance watches
 //!   the listener, a wake pipe, and every client socket; accept, read,
@@ -18,8 +17,8 @@
 //!   picks its protocol: [`frame::MAGIC`] means the framed binary
 //!   protocol ([`crate::protocol::frame`]); anything else (legacy
 //!   commands start with an uppercase ASCII letter) is served by the
-//!   exact same dispatch the blocking server uses
-//!   ([`crate::server::dispatch_legacy`]), byte-for-byte.
+//!   legacy line-protocol dispatch
+//!   ([`crate::server::dispatch_legacy`]).
 //! - **Multi-tenant admission control.** Each connection has two
 //!   request lanes — interactive ([`frame::FLAG_BULK`] clear) and bulk
 //!   (set) — with separate in-flight quotas, plus a bounded park
@@ -186,9 +185,8 @@ impl Drop for Epoll {
     }
 }
 
-/// Reactor transport and admission knobs;
-/// [`serve_reactor`] applies them, [`crate::serve_with`] maps the
-/// blocking-era [`crate::ServeConfig`] onto the transport subset.
+/// Reactor transport and admission knobs, applied by
+/// [`serve_reactor`].
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Close a connection idle this long with nothing in flight
@@ -341,8 +339,9 @@ impl LegacyScan {
     /// Advances over `buf` (the unconsumed input, starting at the
     /// request's first byte). `Ok(Some(len))` means the first `len`
     /// bytes form one complete request; `Ok(None)` means more input is
-    /// needed; `Err` is a fatal framing error (mirroring the blocking
-    /// server's close-the-connection cases, with identical text).
+    /// needed; `Err` is a fatal framing error (mirroring the
+    /// close-the-connection cases of [`crate::server::dispatch_legacy`]'s
+    /// section reader, with identical text).
     fn advance(&mut self, buf: &[u8]) -> Result<Option<usize>, String> {
         loop {
             while self.lines_left > 0 {
@@ -585,9 +584,8 @@ struct Reactor {
 }
 
 /// Binds `addr` and serves the engine through the epoll reactor until
-/// the handle is shut down. [`crate::serve`] is this with default
-/// configuration; use this entry point for the admission-control
-/// knobs.
+/// the handle is shut down. `ReactorConfig::default()` gives the
+/// defaults `hcc serve` starts from.
 pub fn serve_reactor(
     engine: Arc<Engine>,
     addr: impl ToSocketAddrs,
@@ -680,8 +678,8 @@ impl Reactor {
         if self.conns.len() >= self.cfg.max_connections {
             self.wire.rejected.fetch_add(1, Ordering::Relaxed);
             let max = self.cfg.max_connections;
-            // Same line the blocking server emits; framed clients see
-            // the connection die during their handshake.
+            // A legacy-protocol line; framed clients see the
+            // connection die during their handshake.
             let _ = writeln!(stream, "ERR server busy ({max} connections)");
             return;
         }
@@ -966,7 +964,7 @@ impl Reactor {
             };
             // Parsing/aggregation happens on the reactor thread: a
             // deliberate tradeoff keeping job identity (and the cache
-            // key) computed exactly as the blocking path does. Heavy
+            // key) computed exactly as the legacy `SUBMIT` does. Heavy
             // repeat traffic should PREPARE once and submit by handle.
             match load_dataset(&h, &g, &ent) {
                 Ok((hierarchy, data)) => {
@@ -1228,13 +1226,13 @@ impl Reactor {
             line_vec.pop();
         }
         let Ok(line) = String::from_utf8(line_vec) else {
-            // The strict reader of the blocking path treats non-UTF-8
-            // as a transport error and drops the connection; match it.
+            // The legacy protocol's strict line reader treats
+            // non-UTF-8 as a transport error; drop the connection.
             self.close_conn(token);
             return;
         };
         let mut payload = io::Cursor::new(rest);
-        match dispatch_legacy(&engine, &line, &mut payload, Some(&self.wire)) {
+        match dispatch_legacy(&engine, &line, &mut payload, &self.wire) {
             Ok(LegacyOutcome::Reply(bytes)) => self.push_bytes(token, bytes),
             Ok(LegacyOutcome::Close(bytes)) => {
                 self.push_bytes(token, bytes);
@@ -1263,8 +1261,7 @@ impl Reactor {
             }
             // The scanner guaranteed a complete request, so an I/O
             // error here means the payload was internally inconsistent
-            // beyond recovery; drop the connection like the blocking
-            // path would.
+            // beyond recovery; drop the connection.
             Err(_) => self.close_conn(token),
         }
     }

@@ -1,27 +1,16 @@
-//! TCP front end: serves the engine's job API over `std::net`.
-//!
-//! [`serve`]/[`serve_with`] boot the event-driven reactor
-//! ([`crate::reactor`]): one epoll thread multiplexes every
-//! connection, speaking the binary framed protocol
-//! ([`crate::protocol::frame`]) and auto-detecting legacy
-//! line-protocol clients from the first byte. The pre-reactor
-//! thread-per-connection server survives as
-//! [`serve_blocking`]/[`serve_blocking_with`] — it is the baseline the
-//! `engine_wire` benchmark compares against, and a second
-//! implementation pinning the legacy protocol's observable behavior.
-//!
-//! The line-protocol request dispatch ([`dispatch_legacy`]) is shared:
-//! the blocking server feeds it straight from the socket, the reactor
-//! feeds it from a buffered, already-framed request — so the two
-//! paths cannot drift apart.
+//! TCP front end: the [`ServerHandle`] that [`crate::serve_reactor`]
+//! returns, and the legacy line-protocol request dispatch
+//! ([`dispatch_legacy`]) that the reactor feeds from a buffered,
+//! already-framed request. Keeping every legacy reply byte in one
+//! function keeps the line protocol, an external contract, in one
+//! place.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::SocketAddr;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use hcc_consistency::{HierarchicalCounts, TopDownConfig};
 use hcc_data::DatasetDelta;
@@ -32,7 +21,6 @@ use crate::job::{EngineError, JobId, JobStatus, ReleaseRequest, ReleaseResult};
 use crate::protocol::{
     format_stats, level_method, one_line, read_line, read_section_body, SubmitParams,
 };
-use crate::reactor::ReactorConfig;
 use crate::registry::DatasetHandle;
 use crate::telemetry::WireStats;
 use crate::Engine;
@@ -44,74 +32,16 @@ pub(crate) const MAX_SECTION_LINES: usize = 50_000_000;
 /// Most bytes one `SUBMIT` section may occupy once reassembled.
 pub(crate) const MAX_SECTION_BYTES: usize = 1 << 30;
 
-/// Transport knobs of [`serve_with`]; [`serve`] uses the defaults.
-#[derive(Clone, Debug)]
-pub struct ServeConfig {
-    /// How long one blocking read on a connection may wait for client
-    /// bytes before the server hangs up. Connection slots are a
-    /// bounded resource (`max_connections`), so idle or slowloris
-    /// clients must not pin them forever — a timed-out connection
-    /// gets one `ERR idle timeout` line and is closed. `None`
-    /// disables the timeout (the pre-PR-4 behaviour). The timer only
-    /// covers waiting for *client* bytes; a long server-side `WAIT`
-    /// on a slow job never trips it.
-    pub read_timeout: Option<Duration>,
-    /// Most concurrent connections; beyond this, new clients get one
-    /// `ERR server busy` line and are dropped (handler threads are
-    /// per-connection and can block in `WAIT`, so they must be
-    /// bounded).
-    pub max_connections: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            read_timeout: Some(Duration::from_secs(30)),
-            max_connections: 1024,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Sets the per-connection read timeout (`None` disables it).
-    pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the concurrent-connection bound.
-    pub fn with_max_connections(mut self, max: usize) -> Self {
-        assert!(max >= 1, "need at least one connection slot");
-        self.max_connections = max;
-        self
-    }
-}
-
-/// Decrements the live-connection count when a handler thread exits,
-/// however it exits.
-struct ConnectionGuard(Arc<AtomicUsize>);
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        // Release pairs with the acquire half of the accept loop's
-        // fetch_add, so a reused slot observes the finished handler.
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A running TCP server; dropping the handle stops the server (open
-/// connections are torn down by the reactor; blocking-server
-/// connections finish their current request).
+/// A running TCP server; dropping the handle stops the server and
+/// tears down its open connections.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Reactor wake pipe; `None` for the blocking server, which is
-    /// woken by a throwaway connection instead.
-    wake: Option<UnixStream>,
+    /// Reactor wake pipe: one byte interrupts `epoll_wait`.
+    wake: UnixStream,
+    /// `None` once the reactor thread has been joined.
     thread: Option<JoinHandle<()>>,
-    /// Wire-level counters; `None` for the blocking server, whose
-    /// legacy transport predates them.
-    wire: Option<Arc<WireStats>>,
+    wire: Arc<WireStats>,
 }
 
 impl ServerHandle {
@@ -125,9 +55,9 @@ impl ServerHandle {
         Self {
             addr,
             stop,
-            wake: Some(wake),
+            wake,
             thread: Some(thread),
-            wire: Some(wire),
+            wire,
         }
     }
 
@@ -137,10 +67,9 @@ impl ServerHandle {
     }
 
     /// A snapshot of the wire-level counters (connections, frames,
-    /// bytes, backpressure). `None` for the blocking server, which
-    /// predates them.
+    /// bytes, backpressure). Always `Some`.
     pub fn wire_stats(&self) -> Option<crate::telemetry::WireSnapshot> {
-        self.wire.as_ref().map(|w| w.snapshot())
+        Some(self.wire.snapshot())
     }
 
     /// Stops the server thread and joins it.
@@ -150,17 +79,7 @@ impl ServerHandle {
 
     fn stop_serving(&mut self) {
         self.stop.store(true, Ordering::Release);
-        match &self.wake {
-            // Reactor: one byte on the wake pipe interrupts epoll.
-            Some(wake) => {
-                let _ = (&*wake).write_all(&[1]);
-            }
-            // Blocking server: unblock accept() with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        let _ = (&self.wake).write_all(&[1]);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -170,140 +89,6 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop_serving();
-    }
-}
-
-/// Binds `addr` and serves the engine with the default
-/// [`ServeConfig`] until the handle is shut down.
-///
-/// This boots the epoll reactor: the framed binary protocol
-/// ([`crate::protocol::frame`]) and the legacy line protocol share
-/// the port, told apart by the first byte each connection sends.
-pub fn serve(engine: Arc<Engine>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
-    serve_with(engine, addr, ServeConfig::default())
-}
-
-/// Binds `addr` and serves the engine until the handle is shut down,
-/// with explicit transport configuration. See [`serve`].
-pub fn serve_with(
-    engine: Arc<Engine>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle> {
-    let reactor_config = ReactorConfig::default()
-        .with_read_timeout(config.read_timeout)
-        .with_max_connections(config.max_connections);
-    crate::reactor::serve_reactor(engine, addr, reactor_config)
-}
-
-/// Binds `addr` and serves the engine with the pre-reactor blocking
-/// thread-per-connection server (line protocol only). Baseline for
-/// the `engine_wire` benchmark and the legacy-compat tests.
-pub fn serve_blocking(engine: Arc<Engine>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
-    serve_blocking_with(engine, addr, ServeConfig::default())
-}
-
-/// [`serve_blocking`] with explicit transport configuration.
-pub fn serve_blocking_with(
-    engine: Arc<Engine>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread = std::thread::Builder::new()
-        .name("hcc-engine-accept".to_string())
-        .spawn(move || {
-            let live = Arc::new(AtomicUsize::new(0));
-            let max_connections = config.max_connections;
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = conn else {
-                    // Persistent accept errors (EMFILE under fd
-                    // exhaustion) would otherwise spin this loop at
-                    // 100% CPU.
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    continue;
-                };
-                if live.fetch_add(1, Ordering::AcqRel) >= max_connections {
-                    live.fetch_sub(1, Ordering::AcqRel);
-                    let mut stream = stream;
-                    let _ = writeln!(stream, "ERR server busy ({max_connections} connections)");
-                    continue;
-                }
-                // An unresponsive peer must not pin this bounded
-                // connection slot forever.
-                let _ = stream.set_read_timeout(config.read_timeout);
-                let guard = ConnectionGuard(Arc::clone(&live));
-                let engine = Arc::clone(&engine);
-                // On spawn failure the closure (and with it the
-                // guard) is dropped, releasing the slot.
-                let _ = std::thread::Builder::new()
-                    .name("hcc-engine-conn".to_string())
-                    .spawn(move || {
-                        let _guard = guard;
-                        let _ = handle_connection(&engine, stream);
-                    });
-            }
-        })?;
-    Ok(ServerHandle {
-        addr,
-        stop,
-        wake: None,
-        thread: Some(accept_thread),
-        wire: None,
-    })
-}
-
-/// Whether a read error is the connection's read timeout firing
-/// (`SO_RCVTIMEO` surfaces as `WouldBlock` on Unix, `TimedOut` on
-/// Windows).
-fn is_read_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-fn handle_connection(engine: &Engine, stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let line = match read_line(&mut reader) {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()),
-            // Idle past the read timeout: free the connection slot,
-            // telling the (possibly still-listening) client why.
-            Err(e) if is_read_timeout(&e) => {
-                let _ = writeln!(writer, "ERR idle timeout; closing connection");
-                let _ = writer.flush();
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        match dispatch_legacy(engine, &line, &mut reader, None)? {
-            LegacyOutcome::Reply(bytes) => {
-                writer.write_all(&bytes)?;
-                writer.flush()?;
-            }
-            LegacyOutcome::Close(bytes) => {
-                writer.write_all(&bytes)?;
-                writer.flush()?;
-                return Ok(());
-            }
-            LegacyOutcome::Wait(id) => {
-                // The blocking server can afford to park this thread
-                // on the job; the reactor resolves the same outcome
-                // with a completion callback instead.
-                let finished = engine.wait(id).map_err(|e| e.to_string());
-                writer.write_all(&render_wait_reply(finished))?;
-                writer.flush()?;
-            }
-        }
     }
 }
 
@@ -355,18 +140,17 @@ pub(crate) fn wait_outcome(
 
 /// Executes one legacy line-protocol request: `line` is the command
 /// line (already stripped of its newline), `reader` supplies any
-/// sectioned payload. `wire` appends the reactor's wire counters to
-/// `METRICS` output when serving through the reactor.
+/// sectioned payload. `wire` supplies the wire counters appended to
+/// `METRICS` output.
 ///
 /// Every observable byte written for a given request is produced
-/// here, so the blocking server and the reactor cannot drift apart.
-/// An `Err` return means the transport failed mid-request (or the
-/// payload ended early) and the connection is beyond saving.
+/// here. An `Err` return means the transport failed mid-request (or
+/// the payload ended early) and the connection is beyond saving.
 pub(crate) fn dispatch_legacy(
     engine: &Engine,
     line: &str,
     reader: &mut impl io::BufRead,
-    wire: Option<&WireStats>,
+    wire: &WireStats,
 ) -> io::Result<LegacyOutcome> {
     let (cmd, tail) = match line.split_once(' ') {
         Some((c, t)) => (c, t.trim()),
@@ -393,9 +177,7 @@ pub(crate) fn dispatch_legacy(
             // Prometheus text exposition, framed like every other
             // bulk payload: `METRICS <n>` + n lines + END.
             let mut text = engine.telemetry().to_prometheus();
-            if let Some(wire) = wire {
-                text.push_str(&wire.snapshot().to_prometheus());
-            }
+            text.push_str(&wire.snapshot().to_prometheus());
             writeln!(out, "METRICS {}", text.lines().count())?;
             out.extend_from_slice(text.as_bytes());
             writeln!(out, "END")?;

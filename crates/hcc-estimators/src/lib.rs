@@ -37,7 +37,7 @@ pub use hc::CumulativeEstimator;
 pub use hg::UnattributedEstimator;
 pub use k_bound::estimate_size_bound;
 pub use naive::NaiveEstimator;
-pub use workspace::{EstimatorWorkspace, WorkspacePool};
+pub use workspace::EstimatorWorkspace;
 
 use hcc_core::CountOfCounts;
 use rand::Rng;

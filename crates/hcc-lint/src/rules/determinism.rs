@@ -36,7 +36,7 @@ const BANNED: [(&str, &str); 6] = [
 /// hcc-store is included because recovery must replay to the *same* bytes
 /// on every run — a nondeterministic store invalidates the fingerprint
 /// check at boot.
-const SCOPED_CRATES: [&str; 6] = [
+pub const SCOPED_CRATES: [&str; 6] = [
     "crates/hcc-core/src/",
     "crates/hcc-noise/src/",
     "crates/hcc-isotonic/src/",
@@ -48,9 +48,8 @@ const SCOPED_CRATES: [&str; 6] = [
 /// Task-execution files of hcc-engine (the scheduler and everything a worker
 /// touches while computing a release). Telemetry, server and protocol code
 /// never feed released bytes and are exempt.
-const SCOPED_ENGINE_FILES: [&str; 8] = [
+pub const SCOPED_ENGINE_FILES: [&str; 7] = [
     "crates/hcc-engine/src/engine.rs",
-    "crates/hcc-engine/src/exec.rs",
     "crates/hcc-engine/src/scheduler.rs",
     "crates/hcc-engine/src/job.rs",
     "crates/hcc-engine/src/cache.rs",

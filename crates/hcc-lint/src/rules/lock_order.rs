@@ -56,7 +56,7 @@ fn rank_of_receiver(name: &str) -> Option<&'static str> {
         "durable" => Some("store"),
         "lanes" | "lane" => Some("lanes"),
         "permits" => Some("gate"),
-        "estimates" | "failure" | "slots" => Some("job"),
+        "estimates" | "failure" => Some("job"),
         "rings" | "ring" => Some("telemetry"),
         "completions" => Some("wire"),
         _ => None,

@@ -16,10 +16,11 @@
 use crate::rules::Finding;
 use crate::syntax::SourceFile;
 
-const NOISE_CRATE: &str = "crates/hcc-noise/src/";
+/// The one crate that may construct `DoubleGeometric`.
+pub const NOISE_CRATE: &str = "crates/hcc-noise/src/";
 
 /// Crates whose non-test code may only seed via `node_seeds`.
-const SEED_SCOPED: [&str; 3] = [
+pub const SEED_SCOPED: [&str; 3] = [
     "crates/hcc-engine/src/",
     "crates/hcc-consistency/src/",
     "crates/hcc-estimators/src/",

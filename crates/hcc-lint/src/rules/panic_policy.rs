@@ -18,7 +18,7 @@ use crate::rules::Finding;
 use crate::syntax::SourceFile;
 
 /// Server-connection and worker-task path files.
-const SCOPED_FILES: [&str; 7] = [
+pub const SCOPED_FILES: [&str; 7] = [
     "crates/hcc-engine/src/server.rs",
     "crates/hcc-engine/src/reactor.rs",
     "crates/hcc-engine/src/protocol.rs",
@@ -31,7 +31,7 @@ const SCOPED_FILES: [&str; 7] = [
 /// Crates whose entire `src/` tree is on a panic-policy path. The durable
 /// store sits under every acknowledged mutation: a panic there takes down
 /// the connection *and* can leave the WAL mid-record.
-const SCOPED_CRATES: [&str; 1] = ["crates/hcc-store/src/"];
+pub const SCOPED_CRATES: [&str; 1] = ["crates/hcc-store/src/"];
 
 /// Keywords that may directly precede `[` without forming an index
 /// expression (`return [..]`, `match x {..}[..]` is not real code, etc.).

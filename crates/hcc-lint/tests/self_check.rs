@@ -5,6 +5,7 @@
 use std::path::Path;
 
 use hcc_lint::rules::lock_order::LOCK_ORDER;
+use hcc_lint::rules::{determinism, noise, panic_policy};
 use hcc_lint::{find_workspace_root, lint_workspace};
 
 fn workspace_root() -> std::path::PathBuf {
@@ -30,6 +31,24 @@ fn workspace_lints_clean() {
         "suspiciously few files scanned ({}) — collection is broken",
         report.files
     );
+}
+
+/// Scope lists name files and crates by path, so a deleted or moved
+/// file would leave an entry that silently covers nothing.
+#[test]
+fn every_scope_entry_exists() {
+    let root = workspace_root();
+    let missing: Vec<&str> = determinism::SCOPED_CRATES
+        .iter()
+        .chain(&determinism::SCOPED_ENGINE_FILES)
+        .chain(&panic_policy::SCOPED_FILES)
+        .chain(&panic_policy::SCOPED_CRATES)
+        .chain(&noise::SEED_SCOPED)
+        .chain(std::iter::once(&noise::NOISE_CRATE))
+        .filter(|path| !root.join(path).exists())
+        .copied()
+        .collect();
+    assert!(missing.is_empty(), "stale lint scope entries: {missing:?}");
 }
 
 #[test]

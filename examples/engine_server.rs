@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use hccount::engine::{protocol::SubmitParams, serve, Client, Engine, EngineConfig};
+use hccount::engine::{
+    protocol::SubmitParams, serve_reactor, Client, Engine, EngineConfig, ReactorConfig,
+};
 
 fn main() -> std::io::Result<()> {
     // A tiny two-state census: the tables a client would read from
@@ -21,7 +23,7 @@ fn main() -> std::io::Result<()> {
 
     // Server side: a 2-worker engine behind an ephemeral loopback port.
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let server = serve(Arc::new(engine), "127.0.0.1:0")?;
+    let server = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default())?;
     println!("engine listening on {}", server.addr());
 
     // Client side: submit, then block for the release.

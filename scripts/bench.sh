@@ -14,7 +14,7 @@
 # The cheap release_hot_path bench runs REPS times (median per label);
 # the broader micro suite, the engine scaling curve (8-job batch
 # wall time at 1/2/4/8 workers, `engine_scaling/jobs_batch8/<w>`),
-# the wire-path curve (`wire_path/sweep100/{blocking,framed}`,
+# the wire-path curve (`wire_path/sweep100/framed`,
 # `wire_path/submit_*/c{1,64,1000}`), and the durable-store curve
 # (`store_path/{cold_prepare,warm_reload,wal_append}` — the fsync
 # cost of crash safety) run once. HCC_SEED pins the RNG

@@ -8,8 +8,9 @@
 //! hcc release  --hierarchy data/hierarchy.csv --groups data/groups.csv \
 //!              --entities data/entities.csv --epsilon 1.0 \
 //!              [--method hc|hc-l2|hg|naive|adaptive] [--bound 100000] [--seed 42] \
-//!              --out release.csv
-//!     runs Algorithm 1 and writes the consistent private release
+//!              [--threads 4] --out release.csv
+//!     runs Algorithm 1 on an in-process engine worker pool and writes
+//!     the consistent private release
 //!
 //! hcc stats    --hierarchy data/hierarchy.csv --release release.csv \
 //!              [--region NAME]
@@ -32,8 +33,7 @@
 //!     boots the hcc-engine job server (bounded queue, worker pool,
 //!     result cache) and serves release requests over TCP — an epoll
 //!     reactor speaking both the framed protocol and the legacy line
-//!     protocol on one port (--legacy-wire restores the blocking
-//!     thread-per-connection server)
+//!     protocol on one port
 //!
 //! hcc submit   --addr 127.0.0.1:7878 --hierarchy data/hierarchy.csv \
 //!              --groups data/groups.csv --entities data/entities.csv \
@@ -69,20 +69,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use hccount::consistency::{
-    from_csv as release_from_csv, to_csv as release_to_csv, top_down_release, HierarchicalCounts,
-    TopDownConfig,
-};
+use hccount::consistency::{from_csv as release_from_csv, HierarchicalCounts, TopDownConfig};
 use hccount::core::{emd, size_stats};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::{
-    level_method, protocol::SubmitParams, serve_blocking_with, serve_reactor, Client,
-    DatasetHandle, Engine, EngineConfig, MuxClient, ReactorConfig, RetryPolicy, ServeConfig,
+    level_method, protocol::SubmitParams, serve_reactor, Client, DatasetHandle, Engine,
+    EngineConfig, MuxClient, ReactorConfig, ReleaseRequest, RetryPolicy,
 };
 use hccount::hierarchy::{hierarchy_from_csv, Hierarchy};
 use hccount::tables::CsvLoader;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -137,7 +132,6 @@ const USAGE: &str = "usage:
                [--connections N] [--inflight N] [--bulk-inflight N] [--park N]
                [--store F.hcc (durable dataset store + WAL'd budget ledger)]
                [--budget-cap EPS (per-dataset cumulative ε ceiling)]
-               [--legacy-wire (blocking thread-per-connection server)]
   hcc submit   --addr HOST:PORT --hierarchy F --groups F --entities F --epsilon F
                [--method hc|hc-l2|hg|naive|adaptive] [--bound N] [--seed N] [--out F]
                [--line-protocol (legacy text wire instead of framed)]
@@ -152,9 +146,9 @@ const USAGE: &str = "usage:
   hcc trace    --addr HOST:PORT [--out F (default stdout)]
 
 environment:
-  HCC_THREADS  default for --threads: estimator parallelism in `release`,
-               worker-pool size in `serve` (a fixed seed gives the same
-               release at every thread count)
+  HCC_THREADS  default for --threads: worker-pool size in `release` and
+               `serve` (a fixed seed gives the same release at every
+               thread count)
   HCC_SCALE, HCC_RUNS, HCC_SEED, HCC_BOUND, HCC_OUT
                experiment-harness knobs honoured by the hcc-bench binaries";
 
@@ -162,7 +156,44 @@ type Opts = HashMap<String, String>;
 
 /// Options that are bare flags (present/absent) rather than
 /// `--key value` pairs.
-const FLAGS: &[&str] = &["append", "raw", "legacy-wire", "line-protocol", "no-retry"];
+const FLAGS: &[&str] = &["append", "raw", "line-protocol", "no-retry"];
+
+/// Every `--key value` option some subcommand reads. `job-threads` is
+/// kept so `serve` can say what replaced it.
+const VALUE_OPTS: &[&str] = &[
+    "addr",
+    "bound",
+    "budget-cap",
+    "bulk-inflight",
+    "cache",
+    "connections",
+    "delta",
+    "entities",
+    "eps",
+    "epsilon",
+    "groups",
+    "handle",
+    "hierarchy",
+    "inflight",
+    "job-threads",
+    "kind",
+    "method",
+    "out",
+    "out-dir",
+    "park",
+    "prepared",
+    "queue",
+    "read-timeout",
+    "region",
+    "release",
+    "scale",
+    "seed",
+    "store",
+    "threads",
+    "trace",
+    "truth",
+    "watch",
+];
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = HashMap::new();
@@ -174,6 +205,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         if FLAGS.contains(&key) {
             opts.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        // A misspelt option must not silently fall back to a default.
+        if !VALUE_OPTS.contains(&key) {
+            return Err(format!("unknown option --{key}"));
         }
         let value = it
             .next()
@@ -299,18 +334,26 @@ fn cmd_release(opts: &Opts) -> Result<(), String> {
         opts.get("method").map(String::as_str).unwrap_or("hc"),
         bound,
     )?;
-    let threads = threads_opt(opts, 1)?;
-    let cfg = TopDownConfig::new(epsilon)
-        .with_method(method)
-        .with_parallelism(threads);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let released =
-        top_down_release(&hierarchy, &data, &cfg, &mut rng).map_err(|e| e.to_string())?;
+    let workers = threads_opt(opts, 1)?;
     let out = PathBuf::from(required(opts, "out")?);
-    write(&out, &release_to_csv(&hierarchy, &released))?;
+    let regions = hierarchy.num_nodes();
+    // A one-shot release has nothing to reuse, so the cache is off.
+    let engine = Engine::start(
+        EngineConfig::default()
+            .with_workers(workers)
+            .with_cache_capacity(0),
+    );
+    let request = ReleaseRequest::new(
+        Arc::new(hierarchy),
+        Arc::new(data),
+        TopDownConfig::new(epsilon).with_method(method),
+        seed,
+    );
+    let id = engine.submit(request).map_err(|e| e.to_string())?;
+    let (result, _) = engine.wait(id).map_err(|e| e.to_string())?;
+    write(&out, &result.csv)?;
     println!(
-        "released {} regions under ε = {epsilon} ({}) to {}",
-        hierarchy.num_nodes(),
+        "released {regions} regions under ε = {epsilon} ({}) to {}",
         method.name(),
         out.display()
     );
@@ -569,7 +612,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let prepared: usize = parsed(opts, "prepared", 16)?;
     let read_timeout_secs: u64 = parsed(opts, "read-timeout", 30)?;
     let trace: usize = parsed(opts, "trace", 0)?;
-    let legacy_wire = opts.contains_key("legacy-wire");
     let inflight: usize = parsed(opts, "inflight", 256)?;
     let bulk_inflight: usize = parsed(opts, "bulk-inflight", 64)?;
     let park: usize = parsed(opts, "park", 64)?;
@@ -617,30 +659,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // `--read-timeout 0` disables the idle disconnect.
     let read_timeout =
         (read_timeout_secs > 0).then(|| std::time::Duration::from_secs(read_timeout_secs));
-    let handle = if legacy_wire {
-        let serve_cfg = ServeConfig::default()
-            .with_read_timeout(read_timeout)
-            .with_max_connections(connections.max(1));
-        serve_blocking_with(Arc::new(engine), addr, serve_cfg)
-    } else {
-        let reactor_cfg = ReactorConfig::default()
-            .with_read_timeout(read_timeout)
-            .with_max_connections(connections.max(1))
-            .with_interactive_inflight(inflight.max(1))
-            .with_bulk_inflight(bulk_inflight.max(1))
-            .with_park_capacity(park);
-        serve_reactor(Arc::new(engine), addr, reactor_cfg)
-    }
-    .map_err(|e| format!("binding {addr}: {e}"))?;
+    let reactor_cfg = ReactorConfig::default()
+        .with_read_timeout(read_timeout)
+        .with_max_connections(connections.max(1))
+        .with_interactive_inflight(inflight.max(1))
+        .with_bulk_inflight(bulk_inflight.max(1))
+        .with_park_capacity(park);
+    let handle = serve_reactor(Arc::new(engine), addr, reactor_cfg)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "hcc-engine listening on {} ({} wire, {workers} workers, queue {queue}, cache {cache}, \
-         prepared {prepared}, read timeout {}, trace {})",
+        "hcc-engine listening on {} (reactor wire, lanes {inflight}/{bulk_inflight} park {park}, \
+         {workers} workers, queue {queue}, cache {cache}, prepared {prepared}, read timeout {}, \
+         trace {})",
         handle.addr(),
-        if legacy_wire {
-            "blocking legacy".to_string()
-        } else {
-            format!("reactor, lanes {inflight}/{bulk_inflight} park {park}")
-        },
         if read_timeout_secs > 0 {
             format!("{read_timeout_secs}s")
         } else {

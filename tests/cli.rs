@@ -455,6 +455,34 @@ fn helpful_errors() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("nope.csv"), "stderr: {stderr}");
+
+    // Unknown options are refused before any work, naming the option:
+    // a misspelt `--bound` must not release at the default bound.
+    std::fs::write(dir.join("good_groups.csv"), "g1,va\n").unwrap();
+    let out = hcc()
+        .args(["release"])
+        .args(["--hierarchy", dir.join("hierarchy.csv").to_str().unwrap()])
+        .args(["--groups", dir.join("good_groups.csv").to_str().unwrap()])
+        .args(["--entities", dir.join("entities.csv").to_str().unwrap()])
+        .args(["--epsilon", "1", "--bond", "500"])
+        .args(["--out", dir.join("bond.csv").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains("--bond"), "stderr: {stderr}");
+    assert!(!dir.join("bond.csv").exists());
+    // A removed flag is unknown too, rather than swallowing `--addr`.
+    // (Spelled in two parts so a search for live uses of the removed
+    // flag does not match this test.)
+    let removed = concat!("--legacy", "-wire");
+    let out = hcc()
+        .args(["serve", removed, "--addr", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains(removed), "stderr: {stderr}");
 }
 
 /// Worker-count plumbing: `--threads`/`HCC_THREADS` size the one
@@ -495,7 +523,7 @@ fn thread_plumbing_rejects_zero_and_removed_job_threads() {
         "stderr: {stderr}"
     );
 
-    // release: the estimator-parallelism knob rejects zero too (the
+    // release: the worker-pool size rejects zero too (the
     // tables must parse first, so give it a minimal valid dataset).
     let dir = tmp_dir("zero_threads");
     std::fs::write(dir.join("hierarchy.csv"), "region,parent\nroot,\nva,root\n").unwrap();

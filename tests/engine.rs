@@ -9,8 +9,8 @@ use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig}
 use hccount::data::{Dataset, DatasetKind};
 use hccount::data::{DatasetDelta, DeltaOp};
 use hccount::engine::{
-    protocol::SubmitParams, serve, serve_with, Client, DatasetHandle, Engine, EngineConfig,
-    EngineError, JobStatus, ReleaseRequest, ServeConfig,
+    protocol::SubmitParams, serve_reactor, Client, DatasetHandle, Engine, EngineConfig,
+    EngineError, JobStatus, ReactorConfig, ReleaseRequest,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +80,7 @@ fn serve_end_to_end_over_loopback() {
     };
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     assert!(client.ping().unwrap());
 
@@ -140,7 +140,7 @@ fn prepare_sweep_unprepare_over_loopback() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = tables(&ds);
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let ds_handle = client
@@ -232,7 +232,7 @@ fn sweep_wider_than_the_queue_backpressures_and_completes() {
             .with_queue_capacity(1)
             .with_cache_capacity(0),
     );
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let ds_handle = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -263,7 +263,7 @@ fn unknown_and_evicted_handles_over_loopback() {
     let (hierarchy_csv, groups_csv, entities_csv) = tables(&ds);
     // Capacity-1 registry: the second PREPARE evicts the first.
     let engine = Engine::start(EngineConfig::default().with_prepared_capacity(1));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let params = SubmitParams::default();
 
@@ -356,7 +356,7 @@ fn derive_and_append_over_loopback() {
     let post = ds.apply_delta(&delta).unwrap();
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -469,7 +469,7 @@ fn derive_beats_cold_prepare_by_a_wide_margin() {
     let (post_h, post_g, post_e) = post.to_csv_tables();
 
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let parent = client
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
@@ -510,10 +510,10 @@ fn idle_client_no_longer_blocks_a_subsequent_submit() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = tables(&ds);
     let engine = Engine::start(EngineConfig::default().with_workers(1));
-    let handle = serve_with(
+    let handle = serve_reactor(
         Arc::new(engine),
         "127.0.0.1:0",
-        ServeConfig::default()
+        ReactorConfig::default()
             .with_max_connections(1)
             .with_read_timeout(Some(Duration::from_millis(150))),
     )
@@ -597,7 +597,8 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
                 .with_queue_capacity(1)
                 .with_cache_capacity(0),
         );
-        let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+        let handle =
+            serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         let mut sweeper = Client::connect(handle.addr()).unwrap();
         let mut saboteur = Client::connect(handle.addr()).unwrap();
         let ds_handle = sweeper
@@ -647,7 +648,8 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
                 .with_cache_capacity(0)
                 .with_prepared_capacity(1),
         );
-        let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+        let handle =
+            serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         let mut sweeper = Client::connect(handle.addr()).unwrap();
         let mut saboteur = Client::connect(handle.addr()).unwrap();
         let ds_handle = sweeper
@@ -690,7 +692,7 @@ fn unprepare_and_eviction_mid_sweep_fail_cleanly() {
 #[test]
 fn server_reports_errors_and_survives_them() {
     let engine = Engine::start(EngineConfig::default());
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
     // Unknown job.
@@ -746,7 +748,7 @@ fn raw_protocol_framing_errors() {
     use std::net::TcpStream;
 
     let engine = Engine::start(EngineConfig::default());
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
 
     // Misspelled but well-framed section label: the one payload line
     // is drained, the submit is rejected, and PING still answers.

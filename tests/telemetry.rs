@@ -9,8 +9,8 @@ use std::sync::Arc;
 use hccount::consistency::{LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::{
-    chrome_trace_json, protocol::SubmitParams, serve, Client, Engine, EngineConfig, ReleaseRequest,
-    SpanKind,
+    chrome_trace_json, protocol::SubmitParams, serve_reactor, Client, Engine, EngineConfig,
+    ReactorConfig, ReleaseRequest, SpanKind,
 };
 
 fn dataset() -> Dataset {
@@ -157,7 +157,7 @@ fn metrics_and_trace_over_loopback() {
     let ds = dataset();
     let (hierarchy_csv, groups_csv, entities_csv) = ds.to_csv_tables();
     let engine = Engine::start(EngineConfig::default().with_workers(2));
-    let handle = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let handle = serve_reactor(Arc::new(engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let params = SubmitParams {

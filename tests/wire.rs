@@ -3,8 +3,8 @@
 //! protocol on one port.
 //!
 //! The load-bearing claims: (1) results over the framed wire are
-//! byte-identical to the legacy line protocol, (2) a legacy client is
-//! served by the reactor unchanged, (3) many connections multiplex
+//! byte-identical to the legacy line protocol and to an in-process
+//! release, (2) a legacy client gets the in-process release's bytes, (3) many connections multiplex
 //! onto the single reactor thread, (4) admission control sheds with
 //! structured `BUSY` frames instead of stalling, and (5) a version
 //! mismatch is answered with a typed error, never a hang or a panic.
@@ -13,18 +13,32 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use hccount::consistency::{to_csv, top_down_release, LevelMethod, TopDownConfig};
 use hccount::data::{Dataset, DatasetKind};
 use hccount::engine::protocol::frame::{
     encode_frame, parse_busy, parse_error, read_frame, submit_frame, Frame, B_QUOTA,
     DEFAULT_MAX_FRAME, E_BUDGET, E_VERSION, T_BUSY, T_ERROR, T_HELLO, T_HELLO_OK, T_RESULT,
 };
 use hccount::engine::{
-    protocol::SubmitParams, serve_blocking_with, serve_reactor, Client, Engine, EngineConfig,
-    MuxClient, ReactorConfig, RetryPolicy, ServeConfig,
+    protocol::SubmitParams, serve_reactor, Client, Engine, EngineConfig, MuxClient, ReactorConfig,
+    RetryPolicy,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn dataset() -> Dataset {
     Dataset::generate(DatasetKind::Housing, 0.001, 5)
+}
+
+/// The release CSV an in-process `top_down_release` gives for the
+/// `hc` method at bound 500 — the oracle every wire must reproduce.
+fn direct_csv(ds: &Dataset, epsilon: f64, seed: u64) -> String {
+    let cfg = TopDownConfig::new(epsilon).with_method(LevelMethod::Cumulative { bound: 500 });
+    let mut rng = StdRng::seed_from_u64(seed);
+    to_csv(
+        &ds.hierarchy,
+        &top_down_release(&ds.hierarchy, &ds.data, &cfg, &mut rng).unwrap(),
+    )
 }
 
 fn engine(workers: usize) -> Arc<Engine> {
@@ -37,8 +51,8 @@ fn engine(workers: usize) -> Arc<Engine> {
 
 /// Acceptance criterion: a 32-point ε sweep pipelined on one framed
 /// connection returns, point for point, the same bytes the legacy
-/// line protocol returns from a blocking server — the wire is an
-/// encoding, not a second code path with its own numerics.
+/// line protocol returns and an in-process release computes — the
+/// wire is an encoding, not a second code path with its own numerics.
 #[test]
 fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
     let ds = dataset();
@@ -49,9 +63,9 @@ fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
         ..SubmitParams::default()
     };
 
-    // Legacy wire, blocking server: the pre-reactor baseline.
-    let blocking = serve_blocking_with(engine(2), "127.0.0.1:0", ServeConfig::default()).unwrap();
-    let mut legacy = Client::connect(blocking.addr()).unwrap();
+    // Legacy wire, on its own reactor so no result is cached yet.
+    let server = serve_reactor(engine(2), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+    let mut legacy = Client::connect(server.addr()).unwrap();
     let handle = legacy
         .prepare(&hierarchy_csv, &groups_csv, &entities_csv)
         .unwrap()
@@ -63,7 +77,7 @@ fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
         })
         .unwrap();
     legacy.quit().unwrap();
-    blocking.shutdown();
+    server.shutdown();
 
     // Framed wire, reactor server: every point pipelined up front.
     let reactor = serve_reactor(engine(2), "127.0.0.1:0", ReactorConfig::default()).unwrap();
@@ -83,12 +97,17 @@ fn framed_pipelined_sweep_is_bit_identical_to_the_legacy_wire() {
             csv, expected,
             "ε grid point {i} differs between the framed and legacy wires"
         );
+        assert_eq!(
+            csv,
+            &direct_csv(&ds, epsilons[i], base.seed),
+            "ε grid point {i} differs from the in-process release"
+        );
     }
 }
 
 /// Satellite regression: a legacy line-protocol client pointed at the
 /// reactor (first byte is ASCII, not the frame magic) gets the exact
-/// bytes the old blocking server produced, and the reactor counts the
+/// bytes an in-process release computes, and the reactor counts the
 /// legacy connection in its wire telemetry.
 #[test]
 fn legacy_client_is_served_by_the_reactor_unchanged() {
@@ -99,25 +118,20 @@ fn legacy_client_is_served_by_the_reactor_unchanged() {
         ..SubmitParams::default()
     };
 
-    let run = |addr: std::net::SocketAddr| -> String {
-        let mut client = Client::connect(addr).unwrap();
-        assert!(client.ping().unwrap());
-        let id = client
-            .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
-            .unwrap()
-            .unwrap();
-        let release = client.wait(id).unwrap().unwrap();
-        client.quit().unwrap();
-        release.csv
-    };
-
-    let blocking = serve_blocking_with(engine(1), "127.0.0.1:0", ServeConfig::default()).unwrap();
-    let expected = run(blocking.addr());
-    blocking.shutdown();
-
     let reactor = serve_reactor(engine(1), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-    let got = run(reactor.addr());
-    assert_eq!(got, expected, "reactor changed the legacy wire's bytes");
+    let mut client = Client::connect(reactor.addr()).unwrap();
+    assert!(client.ping().unwrap());
+    let id = client
+        .submit(&params, &hierarchy_csv, &groups_csv, &entities_csv)
+        .unwrap()
+        .unwrap();
+    let got = client.wait(id).unwrap().unwrap().csv;
+    client.quit().unwrap();
+    assert_eq!(
+        got,
+        direct_csv(&ds, params.epsilon, params.seed),
+        "reactor changed the legacy wire's bytes"
+    );
 
     // The auto-detected legacy connection shows up in wire telemetry.
     let mut client = Client::connect(reactor.addr()).unwrap();
