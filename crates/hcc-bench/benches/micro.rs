@@ -193,12 +193,17 @@ fn bench_noise_fill(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR-5 L1-PAV rewrite: the adaptive workspace solver against the
-/// seed per-element-`BinaryHeap` implementation it replaced, on the
-/// hot-path shape (noisy cumulative histogram: a rising prefix and a
-/// long flat tail). Identical fits, very different constants.
+/// The L1 fit: the workspace's slope-trick kernel against the seed
+/// per-element-`BinaryHeap` PAV, on the hot-path shape (noisy
+/// cumulative histogram: a rising prefix and a long flat tail).
+/// Identical fits, very different constants. `hc_housing_20k` runs the
+/// anchored fit over real `Hc` node inputs (the `end_to_end/topdown_hc`
+/// fixture at ε = 1); `alternating_1e5` is the kernel's heap fallback,
+/// an input alternating between 0 and G = 10^5 at the same K.
 fn bench_isotonic_l1_old_vs_new(c: &mut Criterion) {
-    use hcc_isotonic::{isotonic_l1_heap, isotonic_l1_with, PavL1Workspace};
+    use hcc_isotonic::{
+        anchored_cumulative_into, isotonic_l1_heap, isotonic_l1_with, PavL1Workspace,
+    };
 
     let mut g = c.benchmark_group("isotonic_l1");
     g.sample_size(20);
@@ -217,6 +222,57 @@ fn bench_isotonic_l1_old_vs_new(c: &mut Criterion) {
             b.iter(|| isotonic_l1_with(black_box(y), &mut ws))
         });
     }
+
+    const K: u64 = 20_000;
+    let ds = housing(&HousingConfig {
+        scale: 2e-5,
+        seed: 6,
+        ..Default::default()
+    });
+    let mech = GeometricMechanism::new(1.0, 1.0);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut cum = Vec::new();
+    let nodes: Vec<(Vec<i64>, u64)> = ds
+        .hierarchy
+        .iter()
+        .map(|node| {
+            let hist = ds.data.node(node);
+            hist.to_cumulative_into(K, &mut cum);
+            let mut noisy = Vec::new();
+            mech.privatize_into(&cum, &mut noisy, &mut rng);
+            (noisy, hist.num_groups())
+        })
+        .collect();
+    let alternating: Vec<i64> = (0..=K as i64).map(|i| (i % 2) * 100_000).collect();
+    let mut ws = PavL1Workspace::new();
+    let (mut scratch, mut out) = (Vec::new(), Vec::new());
+    let loss = CumulativeLoss::L1;
+    g.bench_function("hc_housing_20k", |b| {
+        b.iter(|| {
+            for (noisy, groups) in &nodes {
+                anchored_cumulative_into(
+                    black_box(noisy),
+                    *groups,
+                    loss,
+                    &mut ws,
+                    &mut scratch,
+                    &mut out,
+                );
+            }
+        })
+    });
+    g.bench_function("alternating_1e5", |b| {
+        b.iter(|| {
+            anchored_cumulative_into(
+                black_box(&alternating),
+                100_000,
+                loss,
+                &mut ws,
+                &mut scratch,
+                &mut out,
+            )
+        })
+    });
     g.finish();
 }
 

@@ -50,8 +50,7 @@ pub fn anchored_cumulative(noisy: &[i64], g: u64, loss: CumulativeLoss) -> Vec<u
 /// holds the L1 solver state, `scratch` the dense f64 expansion the
 /// L2 loss needs, and `out` receives the fitted cells (cleared
 /// first). A warm workspace makes the `Hc` hot path allocation-free;
-/// the produced cells are bit-identical to the allocating wrapper —
-/// the clamp/round arithmetic is the same f64 operation sequence.
+/// the produced cells are bit-identical to the allocating wrapper.
 pub fn anchored_cumulative_into(
     noisy: &[i64],
     g: u64,
@@ -70,15 +69,15 @@ pub fn anchored_cumulative_into(
     out.reserve(noisy.len());
     match loss {
         CumulativeLoss::L1 => {
-            pav.solve(prefix);
+            // Clamping the inputs into [0, G] clamps the lower-median
+            // fit, and keeps every cell an exact integer: no f64
+            // round trip, so bounds beyond 2^53 stay exact. Every
+            // input is at most i64::MAX, so a larger G clamps nothing
+            // more than i64::MAX does.
+            let ceil = i64::try_from(g).unwrap_or(i64::MAX);
+            pav.solve_clamped(prefix, 0, ceil);
             for b in pav.fitted_blocks() {
-                // Same operation order as the seed path (clamp to
-                // [0, G], then round cell-wise — which preserves
-                // monotonicity), in f64 so results stay bit-identical
-                // even for bounds beyond 2^53.
-                let v = (b.median as f64).clamp(0.0, gf);
-                let v = v.round().max(0.0).min(gf) as u64;
-                out.resize(out.len() + b.len, v);
+                out.resize(out.len() + b.len, b.median as u64);
             }
         }
         CumulativeLoss::L2 => {
@@ -98,6 +97,7 @@ pub fn anchored_cumulative_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pav_l1::{isotonic_l1_heap, isotonic_l1_with};
     use proptest::prelude::*;
 
     #[test]
@@ -149,6 +149,58 @@ mod tests {
         let _ = anchored_cumulative(&[], 3, CumulativeLoss::L1);
     }
 
+    #[test]
+    fn l1_fit_is_exact_beyond_2_pow_53() {
+        // 2^53 + 1 has no f64 representation; the fit must not pass
+        // through one.
+        let big = (1i64 << 53) + 1;
+        let out = anchored_cumulative(&[big, 0], big as u64 + 2, CumulativeLoss::L1);
+        assert_eq!(out, vec![big as u64, big as u64 + 2]);
+        // A G beyond i64::MAX clamps nothing.
+        let out = anchored_cumulative(&[i64::MAX, -1, 0], u64::MAX, CumulativeLoss::L1);
+        assert_eq!(out, vec![0, 0, u64::MAX]);
+    }
+
+    /// The seed anchored L1 fit: the seed PAV, then the clamp into
+    /// `[0, G]`.
+    fn seed_anchored_l1(noisy: &[i64], g: u64) -> Vec<u64> {
+        let prefix = &noisy[..noisy.len() - 1];
+        let mut out: Vec<u64> = isotonic_l1_heap(prefix)
+            .values()
+            .into_iter()
+            .map(|v| (v as i64).clamp(0, g as i64) as u64)
+            .collect();
+        out.push(g);
+        out
+    }
+
+    #[test]
+    fn l1_matches_seed_oracle_exhaustively() {
+        // Every input of length ≤ 5 over −2..=4 (19 607 of them), on
+        // one reused workspace: the unclamped fit against the seed PAV,
+        // then the input as a prefix anchored at G ∈ 0..=3 (the last
+        // cell is replaced by G) against the seed anchored fit.
+        let (mut pav, mut scratch, mut out) = (PavL1Workspace::new(), Vec::new(), Vec::new());
+        let mut noisy = Vec::new();
+        for n in 0..=5u32 {
+            for code in 0..7usize.pow(n) {
+                noisy.clear();
+                noisy.extend((0..n).map(|d| (code / 7usize.pow(d) % 7) as i64 - 2));
+                assert_eq!(
+                    isotonic_l1_with(&noisy, &mut pav).values(),
+                    isotonic_l1_heap(&noisy).values(),
+                    "{noisy:?}"
+                );
+                noisy.push(-9);
+                for g in 0..=3 {
+                    let loss = CumulativeLoss::L1;
+                    anchored_cumulative_into(&noisy, g, loss, &mut pav, &mut scratch, &mut out);
+                    assert_eq!(out, seed_anchored_l1(&noisy, g), "{noisy:?}, G = {g}");
+                }
+            }
+        }
+    }
+
     proptest! {
         /// The buffer-reusing variant is byte-identical to the
         /// allocating wrapper for both losses, across reuses of one
@@ -166,6 +218,37 @@ mod tests {
             for (noisy, g) in &inputs {
                 anchored_cumulative_into(noisy, *g, loss, &mut pav, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &anchored_cumulative(noisy, *g, loss));
+            }
+        }
+
+        /// The L1 fit equals the seed oracle's on plateau, narrow,
+        /// wide and near-`i64`-extreme inputs, on one reused
+        /// workspace, with G inside and beyond the inputs' range.
+        #[test]
+        fn l1_matches_seed_oracle(
+            noise in prop::collection::vec(-12i64..12, 1..400),
+            narrow in prop::collection::vec(-50i64..50, 1..200),
+            wide in prop::collection::vec(-1_000_000i64..1_000_000, 1..200),
+            extreme in prop::collection::vec((any::<bool>(), 0i64..8), 1..40),
+            g in 0u64..2_000_000,
+        ) {
+            let n = noise.len();
+            let plateau: Vec<i64> = noise
+                .iter()
+                .enumerate()
+                .map(|(i, &z)| (i.min(n / 5) / 3) as i64 + z)
+                .collect();
+            let extreme: Vec<i64> = extreme
+                .iter()
+                .map(|&(high, d)| if high { i64::MAX - d } else { i64::MIN + d })
+                .collect();
+            let (mut pav, mut scratch, mut out) = (PavL1Workspace::new(), Vec::new(), Vec::new());
+            for noisy in [&plateau, &narrow, &wide, &extreme] {
+                for g in [g, g % 64] {
+                    let loss = CumulativeLoss::L1;
+                    anchored_cumulative_into(noisy, g, loss, &mut pav, &mut scratch, &mut out);
+                    prop_assert_eq!(&out, &seed_anchored_l1(noisy, g));
+                }
             }
         }
 

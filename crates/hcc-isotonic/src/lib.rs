@@ -7,14 +7,17 @@
 //! * [`isotonic_l2`] / [`isotonic_l2_weighted`] — pool-adjacent-
 //!   violators (PAV) for `min ‖x − y‖₂² s.t. x non-decreasing`, `O(n)`.
 //!   Used by the `Hg` method and the L2 variant of the `Hc` method.
-//! * [`isotonic_l1`] — PAV with mergeable median blocks for
-//!   `min ‖x − y‖₁ s.t. x non-decreasing`, `O(n log² n)`. Returns the
-//!   lower median so integer inputs produce integer fits, matching the
-//!   paper's observation that "the L1 version mostly returns
-//!   integers". Preferred variant for the `Hc` method. The hot-path
-//!   entry point is [`PavL1Workspace`], whose recycled block storage
-//!   makes repeated solves allocation-free; [`isotonic_l1_heap`] is
-//!   the seed implementation, kept as oracle and perf baseline.
+//! * [`isotonic_l1`] — the "slope trick" for
+//!   `min ‖x − y‖₁ s.t. x non-decreasing`: one forward pass through a
+//!   max-queue and one backward suffix-min pass, `O(n log n)` worst
+//!   case and `O(n)` bucket operations when the values span at most
+//!   `max(4096, 2n)`. Returns the lower median of every pooled run so
+//!   integer inputs produce integer fits, matching the paper's
+//!   observation that "the L1 version mostly returns integers".
+//!   Preferred variant for the `Hc` method. The hot-path entry point is
+//!   [`PavL1Workspace`], whose recycled buffers make repeated solves
+//!   allocation-free; [`isotonic_l1_heap`] is the seed block-stack
+//!   PAV, kept as oracle and perf baseline.
 //! * [`project_simplex`] — exact Euclidean projection onto
 //!   `{x ≥ 0, Σx = s}` (the quadratic program of the naive method).
 //!

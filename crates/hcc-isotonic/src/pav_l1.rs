@@ -1,562 +1,76 @@
-//! Pool-adjacent-violators for L1 (least-absolute-deviations)
-//! isotonic regression.
+//! L1 (least-absolute-deviations) isotonic regression.
 //!
 //! The paper found that the L1 variant of the `Hc` method outperforms
 //! L2 (consistent with Lin & Kifer's observations on unattributed
 //! histograms) and that its solutions are almost always integral. We
-//! realise the "almost always" as *always* by selecting the **lower
-//! median** of every pooled block: any value between the lower and
-//! upper median minimises the block's absolute deviation, and the
-//! lower median of integers is an integer.
+//! realise the "almost always" as *always*: every fitted value is the
+//! **lower median** of the inputs it pools. Any value between the
+//! lower and upper median minimises a pool's absolute deviation, and
+//! the lower median of integers is an integer.
 //!
 //! Two implementations share those semantics:
 //!
-//! * [`PavL1Workspace::solve`] — the hot-path solver. Blocks live in
-//!   one flat stack with **recycled**, adaptive median structures:
-//!   small blocks are tiny two-heap pairs (cheap to churn
-//!   and merge), and a block that grows past a threshold promotes to
-//!   a value-indexed counting window with a rank cursor — O(1)
-//!   bucket-increment pushes in a few cache lines, exactly what the
-//!   `Hc` method's giant flat-tail blocks need, where binary heaps
-//!   pay an O(log n) sift across hundreds of kilobytes per inserted
-//!   cell. Blocks whose value span outgrows the window cap demote
-//!   back to heaps, so arbitrary inputs keep the seed
-//!   implementation's `O(n log² n)` bound while a warm workspace
-//!   solves without touching the allocator at all. (A
-//!   select-per-merge "sort buffer" design was rejected: re-selecting
-//!   a giant block's median on every absorption is `O(n²)` exactly
-//!   where the engine spends its time.)
-//! * [`isotonic_l1_heap`] — the seed implementation (two fresh
+//! * [`PavL1Workspace::solve`] — the hot-path solver, the "slope
+//!   trick". A forward pass keeps the breakpoints of the prefix
+//!   problem's cost function in a max-queue: it pushes each `y_i`,
+//!   and when the queue's max exceeds `y_i` it replaces that max with
+//!   `y_i`. The queue's max after step `i`, `t_i`, is where that cost
+//!   function stops decreasing. A backward pass then sets
+//!   `x_i = min_{j ≥ i} t_j`. The queue is a count per value with a
+//!   hierarchical occupancy bitmap whenever the input's value span is
+//!   at most `max(4096, 2n)`, which holds on the `Hc` hot path (a
+//!   node's clamped values lie in `[0, G]`), and a binary heap
+//!   (`O(n log n)`) otherwise. Either way a workspace holds `O(n)`
+//!   memory, never `O(value span)`, and a warm one does not allocate.
+//!   The heap alone would give the same fits, but on real `Hc` node
+//!   inputs it is 2.7× slower (the `isotonic_l1/hc_housing_20k` bench:
+//!   184 ms against 68 ms on a 2-vCPU Xeon).
+//! * [`isotonic_l1_heap`] — the seed block-stack PAV (two fresh
 //!   `BinaryHeap`s per input element), kept as the property-test
 //!   oracle and as the perf baseline for the `release_hot_path`
 //!   benchmarks.
 //!
-//! Both return identical fits: the block boundaries and lower medians
-//! are determined by the PAV merge rule alone, not by the median
-//! structure's internals.
+//! Both return the same fitted values; the tests pin that
+//! exhaustively on short inputs and by property on long ones.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::fit::{Block, IsotonicFit};
 
-// ---------------------------------------------------------------------------
-// Flat, allocation-recycling solver (hot path).
-// ---------------------------------------------------------------------------
+/// The bucket queue serves every input whose value span is at most
+/// `max(BUCKET_SPAN_MIN, 2n)`: its counts and bitmap then take `O(n)`
+/// memory, and resetting them costs no more than one pass over the
+/// input.
+const BUCKET_SPAN_MIN: u64 = 4096;
 
-/// Hard cap on a compact block's value-window span. 4 KB of counts
-/// stays cache-resident; anything wider stays in (or falls back to)
-/// the heap form.
-const COMPACT_SPAN_MAX: i128 = 4096;
-
-/// A single rank-cursor re-seek longer than this demotes the block
-/// back to heaps: it means the block's values are spread thinly
-/// across the window (long zero gaps), which is exactly where
-/// counting loses to heaps.
-const COMPACT_WALK_MAX: usize = 256;
-
-/// Blocks smaller than this stay in the two-heap form: short-lived
-/// blocks churn through creation and merging, and a counting window
-/// per 1–2-element block costs more to scan than tiny heaps cost to
-/// sift. Promotion is attempted when `n` first reaches this size.
-const COMPACT_PROMOTE_AT: usize = 64;
-
-/// One pooled PAV block: covers `start..` up to the next block's
-/// start, holding `n` elements in one of two median structures (see
-/// [`Repr`]).
-struct PooledBlock {
-    start: usize,
-    n: usize,
-    /// Next size at which a heap block attempts compact promotion
-    /// (`usize::MAX` once demoted — spans only grow, so retrying
-    /// would rescan for nothing).
-    next_promote: usize,
-    repr: Repr,
-}
-
-/// The adaptive element-multiset representation behind a block's
-/// lower median.
-///
-/// * [`Repr::Heaps`] — the classic two-heap median (max-heap lower
-///   half `lo`, min-heap upper half `hi`, `lo.len() == hi.len()` or
-///   `hi.len() + 1`). Every block starts here: for the short-lived
-///   small blocks PAV churns through, tiny recycled vectors beat any
-///   fancier structure.
-/// * [`Repr::Compact`] — a value-indexed counting window with a rank
-///   cursor, promoted to at [`COMPACT_PROMOTE_AT`] elements when the
-///   block's value span fits [`COMPACT_SPAN_MAX`]. On the `Hc` hot
-///   path a big block's values are integers concentrated in a narrow
-///   band (the plateau level plus double-geometric noise), so pushes
-///   are O(1) bucket increments in a few cache lines — where the
-///   two-heap form pays an O(log n) sift over hundreds of kilobytes.
-///   Blocks whose span outgrows the cap, or whose cursor walks
-///   exceed [`COMPACT_WALK_MAX`], demote back to heaps, so
-///   adversarially spread inputs degrade to the seed algorithm's
-///   `O(n log² n)`, never to quadratic window scans.
-enum Repr {
-    Compact(CompactCounts),
-    Heaps { lo: Vec<i64>, hi: Vec<i64> },
-}
-
-/// Value-indexed counts over the window `base ..= base + counts.len() - 1`
-/// plus a lower-median rank cursor: `med` indexes the current lower
-/// median's bucket (always non-zero while the block is non-empty) and
-/// `below` counts the elements in buckets before it. `min_idx` /
-/// `max_idx` track the occupied extent so merges scan values, never
-/// slack.
-struct CompactCounts {
-    base: i64,
-    counts: Vec<u64>,
-    med: usize,
-    below: u64,
-    min_idx: usize,
-    max_idx: usize,
-}
-
-impl CompactCounts {
-    fn median(&self) -> i64 {
-        self.base + self.med as i64
-    }
-
-    /// Whether `x` falls inside the current window. Single unsigned
-    /// compare: the wrapping difference is exact for in-window values
-    /// and lands far above `len` for everything else.
-    fn contains(&self, x: i64) -> bool {
-        (x.wrapping_sub(self.base) as u64) < self.counts.len() as u64
-    }
-
-    /// Grows the window (with geometric slack) until it contains
-    /// `lo_val..=hi_val`; `false` when that would exceed the span cap
-    /// and the caller must demote to heaps instead.
-    fn ensure(&mut self, lo_val: i64, hi_val: i64) -> bool {
-        let cur_lo = self.base as i128;
-        let cur_hi = cur_lo + self.counts.len() as i128; // exclusive
-        let need_lo = cur_lo.min(lo_val as i128);
-        let need_hi = cur_hi.max(hi_val as i128 + 1);
-        if need_lo == cur_lo && need_hi == cur_hi {
-            return true;
-        }
-        if need_hi - need_lo > COMPACT_SPAN_MAX {
-            return false;
-        }
-        // Slack on the growing side(s) amortizes repeated growth.
-        let slack = (need_hi - need_lo) / 4 + 8;
-        let mut new_lo = need_lo;
-        let mut new_hi = need_hi;
-        if need_lo < cur_lo {
-            new_lo = (need_lo - slack)
-                .max(need_hi - COMPACT_SPAN_MAX)
-                .max(i64::MIN as i128);
-        }
-        if need_hi > cur_hi {
-            new_hi = (need_hi + slack)
-                .min(new_lo + COMPACT_SPAN_MAX)
-                .min(i64::MAX as i128 + 1);
-        }
-        let off = (cur_lo - new_lo) as usize;
-        let old_len = self.counts.len();
-        self.counts.resize((new_hi - new_lo) as usize, 0);
-        if off > 0 {
-            self.counts.copy_within(0..old_len, off);
-            self.counts[..off].fill(0);
-            self.med += off;
-            self.min_idx += off;
-            self.max_idx += off;
-        }
-        self.base = new_lo as i64;
-        true
-    }
-
-    /// Adds `c` occurrences of the in-window value at `idx` without
-    /// moving the cursor (callers re-seek when done).
-    fn bucket_add(&mut self, idx: usize, c: u64) {
-        self.counts[idx] += c;
-        if idx < self.med {
-            self.below += c;
-        }
-        if idx < self.min_idx {
-            self.min_idx = idx;
-        }
-        if idx > self.max_idx {
-            self.max_idx = idx;
-        }
-    }
-
-    /// Moves the cursor to the bucket containing rank `r` (0-based),
-    /// returning the walk length so single-element callers can detect
-    /// gap-heavy windows.
-    fn reseek(&mut self, r: u64) -> usize {
-        let mut walk = 0;
-        while self.below > r {
-            let mut m = self.med;
-            loop {
-                m -= 1;
-                walk += 1;
-                if self.counts[m] != 0 {
-                    break;
-                }
-            }
-            self.med = m;
-            self.below -= self.counts[m];
-        }
-        while self.below + self.counts[self.med] <= r {
-            self.below += self.counts[self.med];
-            let mut m = self.med;
-            loop {
-                m += 1;
-                walk += 1;
-                if self.counts[m] != 0 {
-                    break;
-                }
-            }
-            self.med = m;
-        }
-        walk
-    }
-
-    /// The occupied value range (O(1) — tracked on every insert).
-    fn occupied_range(&self) -> (i64, i64) {
-        (
-            self.base + self.min_idx as i64,
-            self.base + self.max_idx as i64,
-        )
-    }
-
-    /// Adds all of `other`'s counts; the caller has already grown the
-    /// window over `other`'s occupied range. `r` is the merged rank
-    /// target. The post-merge re-seek may legitimately walk far (the
-    /// median can shift by `other`'s whole size), so no walk cap here
-    /// — it is bounded by the window span.
-    fn absorb(&mut self, other: &CompactCounts, r: u64) {
-        for i in other.min_idx..=other.max_idx {
-            let c = other.counts[i];
-            if c == 0 {
-                continue;
-            }
-            let idx = (other.base + i as i64 - self.base) as usize;
-            self.bucket_add(idx, c);
-        }
-        self.reseek(r);
-    }
-
-    /// Splits the counted multiset into the two-heap halves. Values
-    /// stream out in ascending order, so the lower half reversed is
-    /// already a valid max-heap and the upper half is already a valid
-    /// min-heap — demotion is O(n) with no sifting.
-    fn drain_to_heaps(&self, lo: &mut Vec<i64>, hi: &mut Vec<i64>) {
-        lo.clear();
-        hi.clear();
-        let stored: u64 = self.counts[self.min_idx..=self.max_idx].iter().sum();
-        let lo_target = (stored as usize).div_ceil(2);
-        for i in self.min_idx..=self.max_idx {
-            let v = self.base + i as i64;
-            for _ in 0..self.counts[i] {
-                if lo.len() < lo_target {
-                    lo.push(v);
-                } else {
-                    hi.push(v);
-                }
-            }
-        }
-        lo.reverse();
-    }
-}
-
-/// Hole-based sift-up insertion (one store per level instead of a
-/// swap). `above(a, b)` is true when `a` must sit closer to the root
-/// than `b` — `>` for a max-heap, `<` for a min-heap; both heap
-/// orientations share these routines so the sift logic exists once.
-#[inline]
-fn heap_push(h: &mut Vec<i64>, x: i64, above: impl Fn(i64, i64) -> bool) {
-    h.push(x);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if !above(x, h[p]) {
-            break;
-        }
-        h[i] = h[p];
-        i = p;
-    }
-    h[i] = x;
-}
-
-/// Sift-down from the root, placing `x`.
-#[inline]
-fn heap_sift_down(h: &mut [i64], x: i64, above: impl Fn(i64, i64) -> bool) {
-    let n = h.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= n {
-            break;
-        }
-        let r = l + 1;
-        let c = if r < n && above(h[r], h[l]) { r } else { l };
-        if !above(h[c], x) {
-            break;
-        }
-        h[i] = h[c];
-        i = c;
-    }
-    h[i] = x;
-}
-
-/// Root removal + sift-down.
-#[inline]
-fn heap_pop(h: &mut Vec<i64>, above: impl Fn(i64, i64) -> bool) -> i64 {
-    let top = h.swap_remove(0);
-    if !h.is_empty() {
-        let x = h[0];
-        heap_sift_down(h, x, above);
-    }
-    top
-}
-
-/// Replaces the root with `x` in one sift-down, returning the old
-/// root (the fused insert+transfer of [`heaps_push`]).
-#[inline]
-fn heap_replace(h: &mut [i64], x: i64, above: impl Fn(i64, i64) -> bool) -> i64 {
-    let old = h[0];
-    heap_sift_down(h, x, above);
-    old
-}
-
-fn push_max(h: &mut Vec<i64>, x: i64) {
-    heap_push(h, x, |a, b| a > b);
-}
-
-fn pop_max(h: &mut Vec<i64>) -> i64 {
-    heap_pop(h, |a, b| a > b)
-}
-
-fn replace_max(h: &mut [i64], x: i64) -> i64 {
-    heap_replace(h, x, |a, b| a > b)
-}
-
-fn push_min(h: &mut Vec<i64>, x: i64) {
-    heap_push(h, x, |a, b| a < b);
-}
-
-fn pop_min(h: &mut Vec<i64>) -> i64 {
-    heap_pop(h, |a, b| a < b)
-}
-
-fn replace_min(h: &mut [i64], x: i64) -> i64 {
-    heap_replace(h, x, |a, b| a < b)
-}
-
-impl PooledBlock {
-    /// The lower median. Live blocks are never empty.
-    fn median(&self) -> i64 {
-        match &self.repr {
-            Repr::Compact(c) => c.median(),
-            Repr::Heaps { lo, .. } => lo[0],
-        }
-    }
-}
-
-/// Fused two-heap median push. Routes `x` to the correct half; when
-/// that half is at its size cap the insert and the rebalance transfer
-/// fuse into one replace-root sift.
-fn heaps_push(lo: &mut Vec<i64>, hi: &mut Vec<i64>, x: i64) {
-    if lo.first().is_none_or(|&m| x <= m) {
-        if lo.len() > hi.len() {
-            // lo full: x takes the root's place, the old lower
-            // median moves up to hi.
-            let m = replace_max(lo, x);
-            push_min(hi, m);
-        } else {
-            push_max(lo, x);
-        }
-    } else if hi.len() == lo.len() {
-        // hi full: the smallest of hi ∪ {x} belongs in lo.
-        if hi.first().is_none_or(|&m| x <= m) {
-            push_max(lo, x);
-        } else {
-            let m = replace_min(hi, x);
-            push_max(lo, m);
-        }
-    } else {
-        push_min(hi, x);
-    }
-}
-
-/// Bulk two-heap insertion with one deferred rebalance: every element
-/// lands on its correct side of the *current* partition boundary
-/// (which any intermediate insertion order preserves), then the
-/// halves are re-centred with the minimum number of transfers — the
-/// net imbalance rather than one transfer per element.
-fn heaps_extend(lo: &mut Vec<i64>, hi: &mut Vec<i64>, xs: impl Iterator<Item = i64>) {
-    for x in xs {
-        if lo.first().is_none_or(|&m| x <= m) {
-            push_max(lo, x);
-        } else {
-            push_min(hi, x);
-        }
-    }
-    while lo.len() > hi.len() + 1 {
-        let m = pop_max(lo);
-        push_min(hi, m);
-    }
-    while hi.len() > lo.len() {
-        let m = pop_min(hi);
-        push_max(lo, m);
-    }
-}
-
-/// The occupied values of a counting window, expanded in ascending
-/// order with multiplicity.
-fn counted_values(c: &CompactCounts) -> impl Iterator<Item = i64> + '_ {
-    c.counts[c.min_idx..=c.max_idx]
-        .iter()
-        .enumerate()
-        .flat_map(move |(i, &count)| {
-            std::iter::repeat_n(c.base + (c.min_idx + i) as i64, count as usize)
-        })
-}
-
-/// Adds one element to a block: O(1) bucket increment for compact
-/// blocks, fused two-heap push otherwise. Compact blocks demote on a
-/// span or walk violation; heap blocks attempt promotion when they
-/// reach their next size threshold.
-fn push_into(
-    block: &mut PooledBlock,
-    x: i64,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    block.n += 1;
-    match &mut block.repr {
-        Repr::Compact(c) => {
-            if c.contains(x) {
-                c.bucket_add((x - c.base) as usize, 1);
-                let walk = c.reseek(((block.n - 1) / 2) as u64);
-                if walk > COMPACT_WALK_MAX {
-                    demote_to_heaps(block, spare_heaps, spare_counts);
-                }
-            } else if c.ensure(x, x) {
-                c.bucket_add((x - c.base) as usize, 1);
-                c.reseek(((block.n - 1) / 2) as u64);
-            } else {
-                demote_to_heaps(block, spare_heaps, spare_counts);
-                if let Repr::Heaps { lo, hi } = &mut block.repr {
-                    heaps_push(lo, hi, x);
-                }
-            }
-        }
-        Repr::Heaps { lo, hi } => {
-            heaps_push(lo, hi, x);
-            if block.n >= block.next_promote {
-                try_promote(block, spare_heaps, spare_counts);
-            }
-        }
-    }
-}
-
-/// Rebuilds a compact block as a two-heap block (O(stored elements),
-/// no sifting — see [`CompactCounts::drain_to_heaps`]) and marks it
-/// never-promote: a demotion means the block's values outgrew the
-/// window, and spans only grow. No-op for blocks already in heap
-/// form.
-fn demote_to_heaps(
-    block: &mut PooledBlock,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    if let Repr::Compact(c) = &block.repr {
-        let mut lo = spare_heaps.pop().unwrap_or_default();
-        let mut hi = spare_heaps.pop().unwrap_or_default();
-        c.drain_to_heaps(&mut lo, &mut hi);
-        block.next_promote = usize::MAX;
-        if let Repr::Compact(c) = std::mem::replace(&mut block.repr, Repr::Heaps { lo, hi }) {
-            let mut counts = c.counts;
-            counts.clear();
-            spare_counts.push(counts);
-        }
-    }
-}
-
-/// Attempts to promote a heap block to the counting form. On a span
-/// overflow the next attempt is deferred to double the current size,
-/// keeping the O(n) range scan amortized O(1) per element.
-fn try_promote(
-    block: &mut PooledBlock,
-    spare_heaps: &mut Vec<Vec<i64>>,
-    spare_counts: &mut Vec<Vec<u64>>,
-) {
-    let Repr::Heaps { lo, hi } = &block.repr else {
-        return;
-    };
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    for &v in lo.iter().chain(hi) {
-        min = min.min(v);
-        max = max.max(v);
-    }
-    let span = max as i128 - min as i128 + 1;
-    // Leave slack for the window to breathe before the next growth.
-    let pad = (span / 2 + 32).min((COMPACT_SPAN_MAX - span).max(0) / 2);
-    if span > COMPACT_SPAN_MAX {
-        block.next_promote = block.n.saturating_mul(2);
-        return;
-    }
-    let base = (min as i128 - pad).max(i64::MIN as i128) as i64;
-    let end = (max as i128 + pad + 1).min(i64::MAX as i128 + 1);
-    let mut counts = spare_counts.pop().unwrap_or_default();
-    counts.clear();
-    counts.resize((end - base as i128) as usize, 0);
-    let mut c = CompactCounts {
-        base,
-        counts,
-        med: (min - base) as usize,
-        below: 0,
-        min_idx: (min - base) as usize,
-        max_idx: (min - base) as usize,
-    };
-    for &v in lo.iter().chain(hi.iter()) {
-        c.bucket_add((v - base) as usize, 1);
-    }
-    // `med` starts at the lowest bucket with `below = 0`; one re-seek
-    // walks it to the true rank (bounded by the window span).
-    c.below = 0;
-    c.med = c.min_idx;
-    c.reseek(((block.n - 1) / 2) as u64);
-    if let Repr::Heaps { mut lo, mut hi } = std::mem::replace(&mut block.repr, Repr::Compact(c)) {
-        lo.clear();
-        hi.clear();
-        spare_heaps.push(lo);
-        spare_heaps.push(hi);
-    }
-}
-
-/// One fitted PAV block: `len` cells starting at `start`, all taking
-/// the block's lower median.
+/// One maximal constant run of a fit: `len` cells starting at
+/// `start`, all equal to `median`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FittedBlock {
-    /// Index of the first element of the block.
+    /// Index of the first element of the run.
     pub start: usize,
-    /// Number of elements in the block (≥ 1).
+    /// Number of elements in the run (≥ 1).
     pub len: usize,
-    /// The lower median of the pooled inputs (always an integer for
-    /// integer inputs — the reason the `Hc` method needs no rounding).
+    /// The run's fitted value: the lower median of the inputs it
+    /// covers, so always an integer — the reason the `Hc` method
+    /// needs no rounding.
     pub median: i64,
 }
 
-/// Reusable state for the L1 PAV solver: the live block stack plus
-/// pools of recycled backing stores (heap vectors and counting
-/// windows). One warm workspace per worker thread makes
+/// Reusable state for the L1 solver: the forward pass's max-queue
+/// (bucket counts, or a heap), its per-step maxima, and the last fit's
+/// runs. One warm workspace per worker thread makes
 /// [`PavL1Workspace::solve`] allocation-free across the thousands of
 /// `bound`-length fits a hierarchical release sweep performs.
 #[derive(Default)]
 pub struct PavL1Workspace {
-    blocks: Vec<PooledBlock>,
-    /// Cleared two-heap vectors waiting for reuse.
-    spare_heaps: Vec<Vec<i64>>,
-    /// Cleared counting windows waiting for reuse.
-    spare_counts: Vec<Vec<u64>>,
-    /// Input length of the last [`PavL1Workspace::solve`].
-    n: usize,
+    buckets: BucketQueue,
+    heap: BinaryHeap<i64>,
+    /// `t_i`: the queue's max after the forward pass's step `i`.
+    tops: Vec<i64>,
+    /// The last fit's maximal constant runs, right to left.
+    runs: Vec<FittedBlock>,
 }
 
 impl PavL1Workspace {
@@ -566,157 +80,204 @@ impl PavL1Workspace {
         Self::default()
     }
 
-    /// Runs PAV over `y`, leaving the solution readable through
+    /// Fits `y`, leaving the solution readable through
     /// [`PavL1Workspace::fitted_blocks`] until the next solve.
     pub fn solve(&mut self, y: &[i64]) {
-        self.n = y.len();
-        while let Some(b) = self.blocks.pop() {
-            self.recycle_repr(b.repr);
-        }
-        for (i, &yi) in y.iter().enumerate() {
-            match self.blocks.last_mut() {
-                // Fast path for the dominant pattern on a noisy
-                // cumulative histogram's flat stretches: the new
-                // element violates the running block, so the
-                // singleton {yi} merges straight into it — one median
-                // push, no block bookkeeping at all.
-                Some(top) if yi < top.median() => {
-                    push_into(top, yi, &mut self.spare_heaps, &mut self.spare_counts);
-                    while self.blocks.len() >= 2 {
-                        let k = self.blocks.len();
-                        if self.blocks[k - 2].median() > self.blocks[k - 1].median() {
-                            self.merge_top();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                _ => {
-                    // New blocks start as tiny heaps (cheap to churn
-                    // and merge); they promote to a counting window
-                    // only once they grow to COMPACT_PROMOTE_AT.
-                    let mut lo = self.spare_heaps.pop().unwrap_or_default();
-                    let hi = self.spare_heaps.pop().unwrap_or_default();
-                    lo.push(yi);
-                    self.blocks.push(PooledBlock {
-                        start: i,
-                        n: 1,
-                        next_promote: COMPACT_PROMOTE_AT,
-                        repr: Repr::Heaps { lo, hi },
-                    });
-                    // A non-violating element never triggers a merge.
-                }
-            }
-        }
+        self.solve_clamped(y, i64::MIN, i64::MAX);
     }
 
-    /// Merges the top two blocks, draining the smaller element set
-    /// into the larger and recycling the drained storage.
-    fn merge_top(&mut self) {
-        let mut last = self.blocks.pop().expect("merge needs two blocks");
-        let prev = self.blocks.last_mut().expect("merge needs two blocks");
-        if last.n > prev.n {
-            // Smaller-into-larger: keep the bigger median structure,
-            // whatever side it came from. Only `start` is positional.
-            std::mem::swap(&mut prev.repr, &mut last.repr);
-            std::mem::swap(&mut prev.next_promote, &mut last.next_promote);
+    /// Fits `y` with every input first clamped into `[floor, ceil]`.
+    /// The lower-median fit commutes with a monotone clamp, so this is
+    /// [`PavL1Workspace::solve`]'s fit clamped into the box, computed
+    /// in integers throughout.
+    pub(crate) fn solve_clamped(&mut self, y: &[i64], floor: i64, ceil: i64) {
+        debug_assert!(floor <= ceil, "empty clamp box [{floor}, {ceil}]");
+        self.tops.clear();
+        self.runs.clear();
+        if y.is_empty() {
+            return;
         }
-        prev.n += last.n;
-        let spare_heaps = &mut self.spare_heaps;
-        let spare_counts = &mut self.spare_counts;
-        let r = ((prev.n - 1) / 2) as u64;
-        match (&mut prev.repr, &last.repr) {
-            (Repr::Compact(a), Repr::Compact(b)) => {
-                let (lo_val, hi_val) = b.occupied_range();
-                if a.ensure(lo_val, hi_val) {
-                    a.absorb(b, r);
-                } else {
-                    // Union span too wide for counting: fall back to
-                    // the two-heap form for the merged block.
-                    demote_to_heaps(prev, spare_heaps, spare_counts);
-                    if let Repr::Heaps { lo, hi } = &mut prev.repr {
-                        heaps_extend(lo, hi, counted_values(b));
-                    }
-                }
-            }
-            (Repr::Compact(a), Repr::Heaps { lo: xs, hi: ys }) => {
-                // Bulk bucket adds with one final re-seek — unless an
-                // element falls outside a window that cannot grow.
-                let mut min = i64::MAX;
-                let mut max = i64::MIN;
-                for &v in xs.iter().chain(ys) {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                if a.ensure(min, max) {
-                    for &v in xs.iter().chain(ys) {
-                        a.bucket_add((v - a.base) as usize, 1);
-                    }
-                    a.reseek(r);
-                } else {
-                    demote_to_heaps(prev, spare_heaps, spare_counts);
-                    if let Repr::Heaps { lo, hi } = &mut prev.repr {
-                        heaps_extend(lo, hi, xs.iter().chain(ys).copied());
-                    }
-                }
-            }
-            (Repr::Heaps { lo, hi }, Repr::Compact(b)) => {
-                heaps_extend(lo, hi, counted_values(b));
-            }
-            (Repr::Heaps { lo, hi }, Repr::Heaps { lo: xs, hi: ys }) => {
-                heaps_extend(lo, hi, xs.iter().chain(ys).copied());
-            }
-        }
-        if matches!(prev.repr, Repr::Heaps { .. }) && prev.n >= prev.next_promote {
-            try_promote(prev, spare_heaps, spare_counts);
-        }
-        self.recycle_repr(last.repr);
-    }
-
-    fn recycle_repr(&mut self, repr: Repr) {
-        match repr {
-            Repr::Compact(c) => {
-                let mut counts = c.counts;
-                counts.clear();
-                self.spare_counts.push(counts);
-            }
-            Repr::Heaps { mut lo, mut hi } => {
-                lo.clear();
-                hi.clear();
-                self.spare_heaps.push(lo);
-                self.spare_heaps.push(hi);
-            }
-        }
-    }
-
-    /// Diagnostics: (compact blocks, heap blocks) after the last
-    /// solve. Lets tests and benches assert that the adaptive
-    /// promotion machinery actually engages on hot-path-shaped
-    /// inputs.
-    #[doc(hidden)]
-    pub fn repr_stats(&self) -> (usize, usize) {
-        let compact = self
-            .blocks
+        let (min, max) = y
             .iter()
-            .filter(|b| matches!(b.repr, Repr::Compact(_)))
-            .count();
-        (compact, self.blocks.len() - compact)
+            .fold((i64::MAX, i64::MIN), |(a, b), &v| (a.min(v), b.max(v)));
+        let lo = min.clamp(floor, ceil);
+        let span = max.clamp(floor, ceil).abs_diff(lo);
+        let n = y.len();
+        // Every count stays at most n + 1, so u32 buckets cannot
+        // overflow below that length.
+        if span < BUCKET_SPAN_MIN.max(2 * n as u64) && n < u32::MAX as usize {
+            self.forward_buckets(y, floor, ceil, lo, span as usize + 1);
+        } else {
+            self.forward_heap(y, floor, ceil);
+        }
+        self.backward();
     }
 
-    /// The fitted blocks of the last solve, left to right. Adjacent
-    /// blocks may share a value (PAV merges only strict violations);
-    /// [`IsotonicFit::coalesced`] merges them when the maximal-run
-    /// partition is needed.
-    pub fn fitted_blocks(&self) -> impl Iterator<Item = FittedBlock> + '_ {
-        let n = self.n;
-        self.blocks.iter().enumerate().map(move |(k, b)| {
-            let end = self.blocks.get(k + 1).map_or(n, |next| next.start);
-            FittedBlock {
-                start: b.start,
-                len: end - b.start,
-                median: b.median(),
+    /// The forward pass over the values `lo..lo + len`, which hold
+    /// every clamped input.
+    fn forward_buckets(&mut self, y: &[i64], floor: i64, ceil: i64, lo: i64, len: usize) {
+        let Self { buckets, tops, .. } = self;
+        buckets.reset(len);
+        let mut top = 0;
+        for &v in y {
+            let k = (v.clamp(floor, ceil) - lo) as usize;
+            if k >= top {
+                buckets.add(k, 1);
+                top = k;
+            } else {
+                // One copy of `k` for the push, one for the max it
+                // replaces.
+                buckets.add(k, 2);
+                if buckets.remove_one(top) {
+                    top = buckets.prev(top);
+                }
             }
-        })
+            tops.push(lo + top as i64);
+        }
+    }
+
+    /// The forward pass on a binary heap, for inputs too spread out
+    /// for buckets.
+    fn forward_heap(&mut self, y: &[i64], floor: i64, ceil: i64) {
+        let Self { heap, tops, .. } = self;
+        heap.clear();
+        for &v in y {
+            let v = v.clamp(floor, ceil);
+            if let Some(mut max) = heap.peek_mut() {
+                if *max > v {
+                    *max = v;
+                }
+            }
+            heap.push(v);
+            tops.push(*heap.peek().expect("the heap was just pushed to"));
+        }
+    }
+
+    /// The backward pass: `x_i = min_{j ≥ i} t_j`, recorded as maximal
+    /// constant runs.
+    fn backward(&mut self) {
+        let Some((&last, rest)) = self.tops.split_last() else {
+            return;
+        };
+        let (mut value, mut end) = (last, self.tops.len());
+        for (i, &t) in rest.iter().enumerate().rev() {
+            if t < value {
+                self.runs.push(FittedBlock {
+                    start: i + 1,
+                    len: end - i - 1,
+                    median: value,
+                });
+                (value, end) = (t, i + 1);
+            }
+        }
+        self.runs.push(FittedBlock {
+            start: 0,
+            len: end,
+            median: value,
+        });
+    }
+
+    /// The last solve's fit as maximal constant runs, left to right.
+    pub fn fitted_blocks(&self) -> impl Iterator<Item = FittedBlock> + '_ {
+        self.runs.iter().rev().copied()
+    }
+}
+
+/// A max-queue's storage over the values `0..len`: a count per value
+/// plus a hierarchical occupancy bitmap. Level 0 has one bit per
+/// value, bit `i` of each higher level is set when word `i` of the
+/// level below is non-zero, and the last level is one word. Finding
+/// the next occupied value below an emptied max reads one word per
+/// level, however wide the gap.
+#[derive(Default)]
+struct BucketQueue {
+    counts: Vec<u32>,
+    /// Every level's words, level 0 first.
+    bits: Vec<u64>,
+    /// Where each level starts in `bits`.
+    levels: Vec<usize>,
+}
+
+impl BucketQueue {
+    /// Empties the queue and sizes it for the values `0..len`.
+    fn reset(&mut self, len: usize) {
+        self.counts.clear();
+        self.counts.resize(len, 0);
+        self.bits.clear();
+        self.levels.clear();
+        let mut width = len;
+        loop {
+            self.levels.push(self.bits.len());
+            let words = width.div_ceil(64);
+            self.bits.resize(self.bits.len() + words, 0);
+            if words == 1 {
+                break;
+            }
+            width = words;
+        }
+    }
+
+    /// Adds `c` copies of the value `k`.
+    fn add(&mut self, k: usize, c: u32) {
+        let was = self.counts[k];
+        self.counts[k] = was + c;
+        if was == 0 {
+            let mut i = k;
+            for &base in &self.levels {
+                let word = &mut self.bits[base + i / 64];
+                let was_empty = *word == 0;
+                *word |= 1 << (i % 64);
+                if !was_empty {
+                    break;
+                }
+                i /= 64;
+            }
+        }
+    }
+
+    /// Removes one copy of the value `k`, which must be present;
+    /// `true` when that was the last copy.
+    fn remove_one(&mut self, k: usize) -> bool {
+        self.counts[k] -= 1;
+        if self.counts[k] != 0 {
+            return false;
+        }
+        let mut i = k;
+        for &base in &self.levels {
+            let word = &mut self.bits[base + i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                break;
+            }
+            i /= 64;
+        }
+        true
+    }
+
+    /// The largest occupied value below `k`. One must exist.
+    fn prev(&self, k: usize) -> usize {
+        // Climb until some level has a set bit left of position `i` in
+        // `i`'s own word…
+        let (mut i, mut level) = (k, 0);
+        let (word, below) = loop {
+            let base = *self
+                .levels
+                .get(level)
+                .expect("an occupied value lies below k");
+            let below = self.bits[base + i / 64] & ((1 << (i % 64)) - 1);
+            if below != 0 {
+                break (i / 64, below);
+            }
+            (i, level) = (i / 64, level + 1);
+        };
+        // …then descend along the highest set bits.
+        let mut i = word * 64 + 63 - below.leading_zeros() as usize;
+        while level > 0 {
+            level -= 1;
+            let w = self.bits[self.levels[level] + i];
+            i = i * 64 + 63 - w.leading_zeros() as usize;
+        }
+        i
     }
 }
 
@@ -907,25 +468,39 @@ mod tests {
         assert_eq!(fit.values(), isotonic_l1_heap(&y).values());
     }
 
-    #[test]
-    fn flat_tail_blocks_promote_to_counting_windows() {
-        // A noisy plateau — the Hc hot-path shape — must actually
-        // engage the compact representation: if promotion bit-rots,
-        // the solver silently degrades to all-heap performance.
-        let y: Vec<i64> = (0..20_000u64)
+    /// A deterministic noisy plateau around 500 — the `Hc` hot-path
+    /// shape.
+    fn plateau(n: u64) -> Vec<i64> {
+        (0..n)
             .map(|i| {
                 let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 500 + ((z >> 33) % 41) as i64 - 20
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn hot_path_inputs_take_the_bucket_queue() {
+        // If the queue selection bit-rots, every fit silently degrades
+        // to the O(n log n) heap. A fresh workspace per input shows
+        // which queue its solve touched.
+        // The alternating input's gaps span three bitmap levels.
+        let alternating: Vec<i64> = (0..20_000).map(|i| (i % 2) * 30_000).collect();
+        for y in [plateau(20_000), alternating] {
+            let mut ws = PavL1Workspace::new();
+            let fit = isotonic_l1_with(&y, &mut ws);
+            let span = (y.iter().max().unwrap() - y.iter().min().unwrap()) as usize;
+            assert_eq!(ws.buckets.counts.len(), span + 1);
+            assert_eq!(ws.heap.capacity(), 0, "the heap was used");
+            assert_eq!(fit.values(), isotonic_l1_heap(&y).values());
+        }
+        // A span wider than max(4096, 2n) takes the heap instead.
+        let wide: Vec<i64> = (0..1_000).map(|i| (i % 2) * 1_000_000).collect();
         let mut ws = PavL1Workspace::new();
-        ws.solve(&y);
-        let (compact, _heap) = ws.repr_stats();
-        assert!(compact >= 1, "no block promoted on a plateau input");
-        // And the fit still matches the oracle on this shape.
-        let flat = isotonic_l1_with(&y, &mut ws);
-        assert_eq!(flat.blocks(), isotonic_l1_heap(&y).blocks());
+        let fit = isotonic_l1_with(&wide, &mut ws);
+        assert!(ws.buckets.counts.is_empty() && ws.heap.capacity() > 0);
+        assert_eq!(fit.values(), isotonic_l1_heap(&wide).values());
     }
 
     #[test]
@@ -990,59 +565,38 @@ mod tests {
         }
 
         /// The workspace solver reproduces the seed heap
-        /// implementation block for block — the bit-identity
-        /// obligation of the PR-5 refactor, checked on one reused
-        /// workspace so stale state would be caught too. Narrow,
-        /// wide, and mixed value ranges exercise the counting
-        /// windows, the heap fallback, and mid-block conversions.
+        /// implementation's fitted values and maximal runs, on one
+        /// reused workspace so stale state would be caught too.
+        /// Plateau, narrow, wide, mixed and near-`i64`-extreme inputs
+        /// exercise both queues and switches between them.
         #[test]
         fn flat_solver_matches_heap_oracle(
+            noise in prop::collection::vec(-12i64..12, 0..400),
             narrow in prop::collection::vec(-50i64..50, 0..200),
             wide in prop::collection::vec(-1_000_000i64..1_000_000, 0..200),
+            extreme in prop::collection::vec((any::<bool>(), 0i64..8), 0..40),
         ) {
-            // Interleaving narrow and wide values forces mid-block
-            // compact→heap conversions on top of the pure regimes.
+            let n = noise.len();
+            let plateau: Vec<i64> = noise
+                .iter()
+                .enumerate()
+                .map(|(i, &z)| (i.min(n / 5) / 3) as i64 + z)
+                .collect();
             let mixed: Vec<i64> = narrow
                 .iter()
                 .zip(&wide)
                 .flat_map(|(&a, &b)| [a, b])
                 .collect();
+            let extreme: Vec<i64> = extreme
+                .iter()
+                .map(|&(high, d)| if high { i64::MAX - d } else { i64::MIN + d })
+                .collect();
             let mut ws = PavL1Workspace::new();
-            for y in [&narrow, &wide, &mixed] {
+            for y in [&plateau, &narrow, &wide, &mixed, &extreme] {
                 let flat = isotonic_l1_with(y, &mut ws);
                 let heap = isotonic_l1_heap(y);
-                prop_assert_eq!(flat.blocks(), heap.blocks());
-            }
-        }
-
-        /// Pooled blocks return the lower median of any sequence, in
-        /// both representations: narrow-range values stay in the
-        /// counting window, wide-range values force the heap
-        /// conversion mid-stream.
-        #[test]
-        fn pooled_block_matches_sort(
-            xs in prop::collection::vec(-50i64..50, 1..200),
-            wide in prop::collection::vec(-1_000_000i64..1_000_000, 1..200),
-        ) {
-            for seq in [&xs, &wide] {
-                let mut spare_heaps = Vec::new();
-                let mut spare_counts = Vec::new();
-                let mut b = PooledBlock {
-                    start: 0,
-                    n: 1,
-                    next_promote: COMPACT_PROMOTE_AT,
-                    repr: Repr::Heaps {
-                        lo: vec![seq[0]],
-                        hi: Vec::new(),
-                    },
-                };
-                for &x in &seq[1..] {
-                    push_into(&mut b, x, &mut spare_heaps, &mut spare_counts);
-                }
-                let mut sorted = seq.clone();
-                sorted.sort_unstable();
-                let lower_median = sorted[(sorted.len() - 1) / 2];
-                prop_assert_eq!(b.median(), lower_median);
+                prop_assert_eq!(flat.values(), heap.values());
+                prop_assert_eq!(flat.coalesced().blocks(), heap.coalesced().blocks());
             }
         }
 
